@@ -38,13 +38,15 @@ int main() {
                       "accuracy of communities+Rosetta vs baselines, and the TE filter's effect");
 
   const auto ds = bench::make_dataset();
-  const auto v6_paths = core::paths_of(ds.rib, IpVersion::V6);
-  const auto v4_paths = core::paths_of(ds.rib, IpVersion::V4);
-  const auto v6_links = v6_paths.links();
-  const auto v4_links = v4_paths.links();
+  ThreadPool pool(1);
+  const auto v6_paths = core::paths_of(ds.rib, IpVersion::V6, pool);
+  const auto v4_paths = core::paths_of(ds.rib, IpVersion::V4, pool);
+  const auto& v6_links = v6_paths.links();
+  const auto& v4_links = v4_paths.links();
 
-  PathStore mixed;
-  for (const auto& route : ds.rib.routes()) mixed.add(route.as_path);
+  std::vector<std::span<const Asn>> all_paths;
+  for (const auto& route : ds.rib.routes()) all_paths.emplace_back(route.as_path);
+  const PathStore mixed(all_paths, pool);
 
   // Variants of the paper's method.
   core::InferenceConfig comm_only;

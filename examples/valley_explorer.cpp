@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
 
   // Explore against ground truth: every annotation is exact.
   const auto& truth = net.truth(IpVersion::V6);
-  const auto v6_paths = core::paths_of(rib, IpVersion::V6);
+  ThreadPool pool(1);
+  const auto v6_paths = core::paths_of(rib, IpVersion::V6, pool);
   std::unordered_set<Asn> relaxed(net.relaxed_ases().begin(), net.relaxed_ases().end());
 
   std::cout << "IPv6 plane: " << v6_paths.unique_paths() << " distinct AS paths\n";
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
 
   std::size_t shown = 0;
   std::size_t necessary_shown = 0;
-  v6_paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
+  v6_paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
     if (shown >= show) return;
     const auto check = check_valley_free(path, truth);
     if (check.cls != PathPolicyClass::Valley) return;
@@ -52,8 +53,8 @@ int main(int argc, char** argv) {
         std::cout << " -" << to_string(truth.get(path[i], path[i + 1])) << "- ";
       }
     }
-    std::cout << "\n    valley at hop " << *check.first_violation;
     if (check.first_violation) {
+      std::cout << "\n    valley at hop " << *check.first_violation;
       const Asn leaker = path[*check.first_violation];
       std::cout << " (AS" << leaker << (relaxed.count(leaker) ? ", a relaxed exporter)" : ")");
     }
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
   });
 
   // Aggregate, for context.
-  const auto census = core::census_valleys(v6_paths, truth);
+  const auto census = core::census_valleys(v6_paths, truth, pool);
   std::cout << "\naggregate: " << census.valley << " valley paths of " << census.paths << " ("
             << 100.0 * census.valley_fraction() << "%), " << census.necessary_valleys << " of "
             << census.classified_valleys << " classified valleys are reachability-required\n";

@@ -1,5 +1,6 @@
 #include "baselines/degree_rank.hpp"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,18 +11,21 @@ DegreeRankResult infer_degree_rank(const PathStore& paths, const DegreeRankParam
   // seen forwarding between.
   std::unordered_map<Asn, std::unordered_set<Asn>> transit_neighbors;
   std::unordered_map<Asn, std::unordered_set<Asn>> plain_neighbors;
-  paths.for_each([&](const std::vector<Asn>& raw, std::uint64_t) {
-    std::vector<Asn> path;
-    for (Asn a : raw) {
-      if (path.empty() || path.back() != a) path.push_back(a);
-    }
+  paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
+    // Walk the links with prepends skipped; an AS between two links is
+    // seen forwarding between its two neighbors.
+    std::optional<Asn> before;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      plain_neighbors[path[i]].insert(path[i + 1]);
-      plain_neighbors[path[i + 1]].insert(path[i]);
-    }
-    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-      transit_neighbors[path[i]].insert(path[i - 1]);
-      transit_neighbors[path[i]].insert(path[i + 1]);
+      const Asn a = path[i];
+      const Asn b = path[i + 1];
+      if (a == b) continue;
+      plain_neighbors[a].insert(b);
+      plain_neighbors[b].insert(a);
+      if (before) {
+        transit_neighbors[a].insert(*before);
+        transit_neighbors[a].insert(b);
+      }
+      before = a;
     }
   });
 

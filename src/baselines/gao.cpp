@@ -19,7 +19,7 @@ struct PairHash {
 GaoResult infer_gao(const PathStore& paths, const GaoParams& params) {
   // Phase 1: degrees from the observed paths.
   std::unordered_map<Asn, std::unordered_set<Asn>> neighbors;
-  paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
+  paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       if (path[i] == path[i + 1]) continue;
       neighbors[path[i]].insert(path[i + 1]);
@@ -37,29 +37,29 @@ GaoResult infer_gao(const PathStore& paths, const GaoParams& params) {
   // (Gao's refined algorithm) and casts no transit vote — otherwise every
   // peering link would be stamped transit by the paths that cross it.
   std::unordered_map<std::pair<Asn, Asn>, std::uint64_t, PairHash> transit;
-  paths.for_each([&](const std::vector<Asn>& raw, std::uint64_t) {
-    std::vector<Asn> path;
-    for (Asn a : raw) {
-      if (path.empty() || path.back() != a) path.push_back(a);
-    }
-    if (path.size() < 2) return;
+  paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
+    // Indices are into the path as given; prepends are skipped.  The peak
+    // is the first position of the first highest-degree AS (a prepend copy
+    // has the same degree, so it never wins).
+    const std::size_t n = path.size();
     std::size_t peak = 0;
-    for (std::size_t i = 1; i < path.size(); ++i) {
+    for (std::size_t i = 1; i < n; ++i) {
       if (degree(path[i]) > degree(path[peak])) peak = i;
     }
+    std::size_t peak_end = peak;  // last copy of the peak AS
+    while (peak_end + 1 < n && path[peak_end + 1] == path[peak]) ++peak_end;
+    const bool has_prev = peak > 0;
+    const bool has_next = peak_end + 1 < n;
+    if (!has_prev && !has_next) return;  // a single AS
     // Potential peering link: between the peak and whichever neighbor has
     // the higher degree (it is the plausible second "top" of the path).
-    std::size_t peer_candidate;  // index i of link (p[i], p[i+1])
-    if (peak == 0) {
-      peer_candidate = 0;
-    } else if (peak + 1 == path.size()) {
-      peer_candidate = peak - 1;
-    } else {
-      peer_candidate =
-          degree(path[peak - 1]) >= degree(path[peak + 1]) ? peak - 1 : peak;
-    }
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (i == peer_candidate) continue;
+    // Link i is (path[i], path[i+1]).
+    const std::size_t peer_candidate =
+        has_prev && (!has_next || degree(path[peak - 1]) >= degree(path[peak_end + 1]))
+            ? peak - 1
+            : peak_end;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (path[i] == path[i + 1] || i == peer_candidate) continue;
       if (i < peak) {
         ++transit[{path[i + 1], path[i]}];  // climbing: p[i+1] provides for p[i]
       } else {

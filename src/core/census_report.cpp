@@ -16,21 +16,19 @@ CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictio
   OBS_SPAN("census");
   CensusReport report;
 
-  std::vector<LinkKey> v4_links;
-  std::vector<LinkKey> v6_links;
-  std::vector<LinkKey> duals;
   {
     OBS_SPAN("census.paths");
     report.v4_path_store = paths_of(rib, IpVersion::V4, pool);
     report.v6_path_store = paths_of(rib, IpVersion::V6, pool);
     report.v4_paths = report.v4_path_store.unique_paths();
     report.v6_paths = report.v6_path_store.unique_paths();
-    v4_links = report.v4_path_store.links();
-    v6_links = report.v6_path_store.links();
   }
+  const std::vector<LinkKey>& v4_links = report.v4_path_store.links();
+  const std::vector<LinkKey>& v6_links = report.v6_path_store.links();
+  std::vector<LinkKey> duals;
   {
     OBS_SPAN("census.duals");
-    duals = dual_stack_links(v4_links, v6_links, pool);
+    duals = dual_stack_links(v4_links, v6_links);
   }
   report.v4_links = v4_links.size();
   report.v6_links = v6_links.size();

@@ -1,7 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 
 #include "core/parallel.hpp"
 #include "mrt/reader.hpp"
@@ -136,26 +136,13 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
   return out;
 }
 
-PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af) {
-  PathStore store;
-  for (const auto& route : rib.routes()) {
-    if (route.af == af) store.add(route.as_path);
-  }
-  return store;
-}
-
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool) {
-  const auto& routes = rib.routes();
-  return shard_map_reduce(
-      pool, routes.size(),
-      [&routes, af](const ShardRange& range) {
-        PathStore shard;
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-          if (routes[i].af == af) shard.add(routes[i].as_path);
-        }
-        return shard;
-      },
-      PathStore{}, [](PathStore& acc, PathStore&& shard) { acc.merge(shard); });
+  std::vector<std::span<const Asn>> occurrences;
+  occurrences.reserve(rib.size_of(af));
+  for (const auto& route : rib.routes()) {
+    if (route.af == af) occurrences.emplace_back(route.as_path);
+  }
+  return PathStore(occurrences, pool);
 }
 
 CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap& rels) {
@@ -167,33 +154,11 @@ CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap&
   return stats;
 }
 
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths) {
-  const auto v4_links = v4_paths.links();
-  std::unordered_set<LinkKey, LinkKeyHash> v4_set(v4_links.begin(), v4_links.end());
-  std::vector<LinkKey> out;
-  for (const LinkKey& key : v6_paths.links()) {
-    if (v4_set.count(key)) out.push_back(key);
-  }
-  return out;
-}
-
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths,
-                                      ThreadPool& pool) {
-  return dual_stack_links(v4_paths.links(), v6_paths.links(), pool);
-}
-
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,
-                                      const std::vector<LinkKey>& v6_links, ThreadPool& pool) {
-  const std::unordered_set<LinkKey, LinkKeyHash> v4_set(v4_links.begin(), v4_links.end());
-  const auto shards = shard_map(pool, v6_links.size(), [&](const ShardRange& range) {
-    std::vector<LinkKey> hits;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      if (v4_set.count(v6_links[i])) hits.push_back(v6_links[i]);
-    }
-    return hits;
-  });
+                                      const std::vector<LinkKey>& v6_links) {
   std::vector<LinkKey> out;
-  for (const auto& shard : shards) out.insert(out.end(), shard.begin(), shard.end());
+  std::set_intersection(v4_links.begin(), v4_links.end(), v6_links.begin(), v6_links.end(),
+                        std::back_inserter(out));
   return out;
 }
 

@@ -72,27 +72,16 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);
 
-/// Distinct AS paths of one family, as a PathStore.
-PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af);
-
-/// Sharded variant: per-route extraction runs on `pool`, shards merge in
-/// shard order (deterministic for any pool size).
+/// Distinct AS paths of one family, as a PathStore built on `pool`
+/// (identical for any pool size).
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool);
 
 /// How many of `links` the map can type.
 CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap& rels);
 
-/// Links observed in both families (intersection of the two path link sets).
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths);
-
-/// Sharded variant of the intersection scan; output order matches the
-/// sequential overload exactly.
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths,
-                                      ThreadPool& pool);
-
-/// Same intersection over already-extracted link vectors (callers that hold
-/// PathStore::links() results avoid re-extracting and re-sorting them).
+/// Links observed in both families: the intersection of two sorted link
+/// tables (PathStore::links()), sorted.
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,
-                                      const std::vector<LinkKey>& v6_links, ThreadPool& pool);
+                                      const std::vector<LinkKey>& v6_links);
 
 }  // namespace htor::core

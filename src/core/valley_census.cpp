@@ -65,11 +65,11 @@ struct CensusShard {
   std::vector<std::pair<Asn, Asn>> necessity_candidates;
 };
 
-CensusShard classify_paths(const std::vector<const std::vector<Asn>*>& paths,
-                           std::size_t begin, std::size_t end, const RelationshipMap& rels) {
+CensusShard classify_paths(const PathStore& paths, const ShardRange& range,
+                           const RelationshipMap& rels) {
   CensusShard shard;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::vector<Asn>& path = *paths[i];
+  for (std::size_t i = range.begin; i < range.end; ++i) {
+    const std::span<const Asn> path = paths.path(i);
     ++shard.counters.paths;
     const ValleyCheckResult check = check_valley_free(path, rels);
     switch (check.cls) {
@@ -97,45 +97,11 @@ bool valley_is_necessary(Asn src, Asn dst, const RelationshipMap& rels) {
   return !oracle.reachable(src, dst);
 }
 
-ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels) {
-  ValleyCensus census;
-  ReachOracle oracle(rels);
-
-  paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
-    ++census.paths;
-    const ValleyCheckResult check = check_valley_free(path, rels);
-    switch (check.cls) {
-      case PathPolicyClass::ValleyFree:
-        ++census.valley_free;
-        return;
-      case PathPolicyClass::Incomplete:
-        ++census.incomplete;
-        return;
-      case PathPolicyClass::Valley:
-        break;
-    }
-    ++census.valley;
-    if (check.unknown_links > 0) return;  // endpoints typed, but gaps remain
-    ++census.classified_valleys;
-    if (!oracle.reachable(path.front(), path.back())) ++census.necessary_valleys;
-  });
-  return census;
-}
-
 ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels,
                             ThreadPool& pool) {
-  // Snapshot the distinct paths so shards can index them.
-  std::vector<const std::vector<Asn>*> snapshot;
-  snapshot.reserve(paths.unique_paths());
-  paths.for_each([&snapshot](const std::vector<Asn>& path, std::uint64_t) {
-    snapshot.push_back(&path);
-  });
-
   CensusShard merged = shard_map_reduce(
-      pool, snapshot.size(),
-      [&snapshot, &rels](const ShardRange& range) {
-        return classify_paths(snapshot, range.begin, range.end, rels);
-      },
+      pool, paths.unique_paths(),
+      [&paths, &rels](const ShardRange& range) { return classify_paths(paths, range, rels); },
       CensusShard{},
       [](CensusShard& acc, CensusShard&& shard) {
         acc.counters.paths += shard.counters.paths;

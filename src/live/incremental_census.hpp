@@ -40,6 +40,21 @@
 
 namespace htor::live {
 
+/// FNV-1a unordered_map functor for the retractable path maps below.
+/// Process-local only — never feeds a mergeable sketch (those hash through
+/// obs/sketch/hash.hpp).
+struct AsnVectorHash {
+  std::size_t operator()(const std::vector<Asn>& v) const {
+    // lint: allow(raw-hash) unordered_map functor, not sketch input
+    std::uint64_t h = 1469598103934665603ull;
+    for (Asn a : v) {
+      h ^= a;
+      h *= 1099511628211ull;  // lint: allow(raw-hash) FNV prime of the same functor
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Live-tier counters, cheap to read at any point in the stream.
 struct LiveStats {
   std::uint64_t routes = 0;

@@ -1,70 +1,70 @@
-// Deduplicating store of observed AS paths with occurrence counts.
+// Distinct observed AS paths with occurrence counts, and the links they cross.
 //
 // The paper's path-level statistics ("13% of the IPv6 paths…", ">28% of the
 // IPv6 paths contain at least one hybrid link") are computed over the set of
 // distinct AS paths extracted from the collector dumps; this container is
 // that set.
+//
+// The store is read-only and flat.  One Asn arena holds every distinct path
+// back to back in canonical lexicographic order, with a u32 offset and an
+// occurrence count per path.  Beside it sits the sorted table of distinct
+// links with the number of distinct paths that cross each one.  Both are
+// built once, sharded on a pool under a fixed shard plan, so every pool size
+// builds the same bytes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "netbase/asn.hpp"
 #include "topology/relationship.hpp"
+#include "util/thread_pool.hpp"
 
 namespace htor {
 
-/// FNV-1a unordered_map functor.  Process-local only — never feeds a
-/// mergeable sketch (those hash through obs/sketch/hash.hpp).
-struct AsnVectorHash {
-  std::size_t operator()(const std::vector<Asn>& v) const {
-    // lint: allow(raw-hash) unordered_map functor, not sketch input
-    std::uint64_t h = 1469598103934665603ull;
-    for (Asn a : v) {
-      h ^= a;
-      h *= 1099511628211ull;  // lint: allow(raw-hash) FNV prime of the same functor
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 class PathStore {
  public:
-  /// Record one occurrence of `path` (already de-prepended or not — stored
-  /// verbatim).  Empty and single-AS paths are ignored.
-  void add(const std::vector<Asn>& path);
+  /// The empty store.
+  PathStore() = default;
 
-  /// Fold another store's paths and occurrence counts into this one.
-  void merge(const PathStore& other);
+  /// Build from every observed occurrence of a path (one entry per route,
+  /// stored verbatim: prepends are kept).  Empty and single-AS paths are
+  /// ignored.  The spans need only outlive the constructor.
+  PathStore(std::span<const std::span<const Asn>> occurrences, ThreadPool& pool);
+
+  /// Same over owned paths.
+  PathStore(const std::vector<std::vector<Asn>>& occurrences, ThreadPool& pool);
 
   /// Number of distinct paths.
-  std::size_t unique_paths() const { return paths_.size(); }
+  std::size_t unique_paths() const { return counts_.size(); }
 
   /// Total occurrences.
   std::uint64_t total_occurrences() const { return total_; }
 
-  /// Visit every distinct path with its count.
-  void for_each(const std::function<void(const std::vector<Asn>&, std::uint64_t)>& fn) const;
+  /// Distinct path `i` (0 <= i < unique_paths()), in lexicographic order.
+  std::span<const Asn> path(std::size_t i) const {
+    return {arena_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
 
-  /// Distinct links appearing in any stored path, in canonical (sorted)
-  /// order — independent of insertion order, so sharded builds of the same
-  /// path set enumerate links identically.
-  std::vector<LinkKey> links() const;
+  /// Visit every distinct path with its count, in lexicographic order.
+  void for_each(const std::function<void(std::span<const Asn>, std::uint64_t)>& fn) const;
+
+  /// Distinct links (adjacent distinct ASes) of the stored paths, sorted.
+  const std::vector<LinkKey>& links() const { return links_; }
 
   /// Number of distinct paths containing link (a, b) as adjacent ASes.
-  /// Computed against an index built on first use.
   std::uint64_t paths_containing(Asn a, Asn b) const;
 
  private:
-  void build_link_index() const;
-
-  std::unordered_map<std::vector<Asn>, std::uint64_t, AsnVectorHash> paths_;
+  std::vector<Asn> arena_;
+  std::vector<std::uint32_t> offsets_;  ///< unique_paths() + 1 entries once built
+  std::vector<std::uint32_t> counts_;
   std::uint64_t total_ = 0;
 
-  mutable bool index_built_ = false;
-  mutable std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> link_paths_;
+  std::vector<LinkKey> links_;
+  std::vector<std::uint32_t> link_paths_;  ///< parallel to links_
 };
 
 }  // namespace htor

@@ -9,7 +9,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "netbase/asn.hpp"
 #include "topology/relationship.hpp"
@@ -24,7 +24,8 @@ enum class PathPolicyClass : std::uint8_t {
 
 struct ValleyCheckResult {
   PathPolicyClass cls = PathPolicyClass::ValleyFree;
-  /// Index i of the first offending link (p[i], p[i+1]) for Valley paths.
+  /// Index i of the first offending link (path[i], path[i+1]) for Valley
+  /// paths, in the path as given (prepends included).
   std::optional<std::size_t> first_violation;
   /// Number of peering links crossed.
   std::size_t peer_links = 0;
@@ -36,14 +37,13 @@ struct ValleyCheckResult {
 using RelationshipFn = std::function<Relationship(Asn, Asn)>;
 
 /// Classify `path` (adjacent duplicate ASNs — prepending — are ignored).
-ValleyCheckResult check_valley_free(const std::vector<Asn>& path, const RelationshipFn& rel);
+ValleyCheckResult check_valley_free(std::span<const Asn> path, const RelationshipFn& rel);
 
 /// Convenience overload using a RelationshipMap.
-ValleyCheckResult check_valley_free(const std::vector<Asn>& path, const RelationshipMap& rels);
+ValleyCheckResult check_valley_free(std::span<const Asn> path, const RelationshipMap& rels);
 
 /// True when the check yields ValleyFree (Incomplete counts as not
 /// valley-free only if `strict`).
-bool is_valley_free(const std::vector<Asn>& path, const RelationshipMap& rels,
-                    bool strict = false);
+bool is_valley_free(std::span<const Asn> path, const RelationshipMap& rels, bool strict = false);
 
 }  // namespace htor

@@ -10,17 +10,22 @@
 namespace htor::baselines {
 namespace {
 
+PathStore store_of(const std::vector<std::vector<Asn>>& paths) {
+  ThreadPool pool(1);
+  return PathStore(paths, pool);
+}
+
 // A star hierarchy: big provider 1 with customers 2..9; 2 also provides for
 // 20, 3 provides for 30.  Vantage-style paths climb to 1 and descend.
 PathStore star_paths() {
-  PathStore store;
-  store.add({20, 2, 1, 3, 30});
-  store.add({30, 3, 1, 2, 20});
+  std::vector<std::vector<Asn>> paths;
+  paths.push_back({20, 2, 1, 3, 30});
+  paths.push_back({30, 3, 1, 2, 20});
   for (Asn c = 4; c <= 9; ++c) {
-    store.add({20, 2, 1, c});
-    store.add({30, 3, 1, c});
+    paths.push_back({20, 2, 1, c});
+    paths.push_back({30, 3, 1, c});
   }
-  return store;
+  return store_of(paths);
 }
 
 TEST(Gao, InfersStarHierarchy) {
@@ -36,13 +41,14 @@ TEST(Gao, InfersStarHierarchy) {
 TEST(Gao, PeakLinkBecomesPeering) {
   // Two comparable mid-size ASes 2 and 3 exchange traffic across their
   // mutual link at the top of every path: classic p2p.
-  PathStore store;
-  store.add({20, 2, 3, 30});
-  store.add({30, 3, 2, 20});
-  store.add({21, 2, 3, 31});
-  store.add({31, 3, 2, 21});
-  store.add({20, 2, 3, 31});
-  store.add({21, 2, 3, 30});
+  const PathStore store = store_of({
+      {20, 2, 3, 30},
+      {30, 3, 2, 20},
+      {21, 2, 3, 31},
+      {31, 3, 2, 21},
+      {20, 2, 3, 31},
+      {21, 2, 3, 30},
+  });
   const auto result = infer_gao(store);
   EXPECT_EQ(result.rels.get(2, 3), Relationship::P2P);
   EXPECT_EQ(result.rels.get(2, 20), Relationship::P2C);
@@ -51,13 +57,14 @@ TEST(Gao, PeakLinkBecomesPeering) {
 
 TEST(Gao, SiblingWhenVotesSplit) {
   // Votes flow both ways across 2-3 in comparable volume.
-  PathStore store;
-  store.add({20, 2, 3, 9});   // peak at 9? degrees decide; craft both climbs
-  store.add({9, 3, 2, 20});
-  store.add({21, 2, 3, 9});
-  store.add({9, 3, 2, 21});
-  store.add({30, 3, 2, 8});
-  store.add({8, 2, 3, 30});
+  const PathStore store = store_of({
+      {20, 2, 3, 9},  // peak at 9? degrees decide; craft both climbs
+      {9, 3, 2, 20},
+      {21, 2, 3, 9},
+      {9, 3, 2, 21},
+      {30, 3, 2, 8},
+      {8, 2, 3, 30},
+  });
   GaoParams params;
   params.sibling_ratio = 0.3;
   const auto result = infer_gao(store, params);
@@ -89,12 +96,13 @@ TEST(DegreeRank, BigSmallIsTransit) {
 }
 
 TEST(DegreeRank, ComparableTransitDegreesArePeers) {
-  PathStore store;
   // 2 and 3 both transit for two customers each and interconnect.
-  store.add({20, 2, 3, 30});
-  store.add({21, 2, 3, 31});
-  store.add({30, 3, 2, 20});
-  store.add({31, 3, 2, 21});
+  const PathStore store = store_of({
+      {20, 2, 3, 30},
+      {21, 2, 3, 31},
+      {30, 3, 2, 20},
+      {31, 3, 2, 21},
+  });
   const auto result = infer_degree_rank(store);
   EXPECT_EQ(result.rels.get(2, 3), Relationship::P2P);
 }
@@ -107,8 +115,9 @@ class BaselineCannotSeeHybrids : public ::testing::TestWithParam<std::uint64_t> 
 TEST_P(BaselineCannotSeeHybrids, OneLabelPerLink) {
   const auto net = gen::SyntheticInternet::generate(gen::small_params(GetParam()));
   const auto rib = net.collect();
-  PathStore mixed;
-  for (const auto& route : rib.routes()) mixed.add(route.as_path);
+  std::vector<std::vector<Asn>> paths;
+  for (const auto& route : rib.routes()) paths.push_back(route.as_path);
+  const PathStore mixed = store_of(paths);
   const auto gao = infer_gao(mixed);
 
   std::size_t observed_hybrids = 0;

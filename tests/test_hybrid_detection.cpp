@@ -14,6 +14,11 @@
 namespace htor::core {
 namespace {
 
+PathStore store_of(const std::vector<std::vector<Asn>>& paths) {
+  ThreadPool pool(1);
+  return PathStore(paths, pool);
+}
+
 TEST(HybridDetection, ClassifiesAllClasses) {
   RelationshipMap v4;
   RelationshipMap v6;
@@ -35,10 +40,11 @@ TEST(HybridDetection, ClassifiesAllClasses) {
   // (11,12): v6 side unknown -> not counted as "both known".
   v4.set(11, 12, Relationship::P2P);
 
-  PathStore v6_paths;
-  v6_paths.add({1, 2, 9});
-  v6_paths.add({3, 4});
-  v6_paths.add({9, 10});
+  const PathStore v6_paths = store_of({
+      {1, 2, 9},
+      {3, 4},
+      {9, 10},
+  });
 
   const std::vector<LinkKey> duals = {LinkKey(1, 2),  LinkKey(3, 4), LinkKey(5, 6),
                                       LinkKey(7, 8),  LinkKey(9, 10), LinkKey(11, 12)};
@@ -66,11 +72,12 @@ TEST(HybridDetection, SortsByVisibility) {
   v4.set(3, 4, Relationship::P2P);
   v6.set(3, 4, Relationship::P2C);
 
-  PathStore v6_paths;
-  v6_paths.add({9, 3, 4});
-  v6_paths.add({8, 3, 4});
-  v6_paths.add({7, 3, 4, 5});
-  v6_paths.add({9, 1, 2});
+  const PathStore v6_paths = store_of({
+      {9, 3, 4},
+      {8, 3, 4},
+      {7, 3, 4, 5},
+      {9, 1, 2},
+  });
 
   const auto report =
       detect_hybrids({LinkKey(1, 2), LinkKey(3, 4)}, v4, v6, v6_paths);

@@ -286,12 +286,13 @@ TEST(Pipeline, HelperFunctions) {
   rib.add(route(IpVersion::V4, {1, 2, 3}, {}));
   rib.add(route(IpVersion::V6, {1, 2, 4}, {}));
   rib.add(route(IpVersion::V6, {5, 2, 1}, {}));
-  const auto v4 = paths_of(rib, IpVersion::V4);
-  const auto v6 = paths_of(rib, IpVersion::V6);
+  ThreadPool pool(1);
+  const auto v4 = paths_of(rib, IpVersion::V4, pool);
+  const auto v6 = paths_of(rib, IpVersion::V6, pool);
   EXPECT_EQ(v4.unique_paths(), 1u);
   EXPECT_EQ(v6.unique_paths(), 2u);
 
-  const auto duals = dual_stack_links(v4, v6);
+  const auto duals = dual_stack_links(v4.links(), v6.links());
   ASSERT_EQ(duals.size(), 1u);
   EXPECT_EQ(duals[0], LinkKey(1, 2));
 

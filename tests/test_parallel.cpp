@@ -198,9 +198,10 @@ TEST_F(ParallelFixture, RibJoinMatchesSequential) {
   }
 }
 
-TEST_F(ParallelFixture, PathsOfMatchesSequential) {
+TEST_F(ParallelFixture, PathsOfMatchesAcrossJobCounts) {
   for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-    const auto sequential = core::paths_of(rib(), af);
+    ThreadPool one(1);
+    const auto sequential = core::paths_of(rib(), af, one);
     ThreadPool pool(4);
     const auto sharded = core::paths_of(rib(), af, pool);
     EXPECT_EQ(sharded.unique_paths(), sequential.unique_paths());
@@ -209,12 +210,14 @@ TEST_F(ParallelFixture, PathsOfMatchesSequential) {
   }
 }
 
-TEST_F(ParallelFixture, DualStackLinksMatchesSequentialOrder) {
-  const auto v4 = core::paths_of(rib(), IpVersion::V4);
-  const auto v6 = core::paths_of(rib(), IpVersion::V6);
-  const auto sequential = core::dual_stack_links(v4, v6);
+TEST_F(ParallelFixture, DualStackLinksMatchesAcrossJobCounts) {
+  ThreadPool one(1);
+  const auto sequential = core::dual_stack_links(core::paths_of(rib(), IpVersion::V4, one).links(),
+                                                 core::paths_of(rib(), IpVersion::V6, one).links());
   ThreadPool pool(4);
-  EXPECT_EQ(core::dual_stack_links(v4, v6, pool), sequential);
+  EXPECT_EQ(core::dual_stack_links(core::paths_of(rib(), IpVersion::V4, pool).links(),
+                                   core::paths_of(rib(), IpVersion::V6, pool).links()),
+            sequential);
 }
 
 TEST_F(ParallelFixture, CommunityInferenceMatchesSequential) {
@@ -245,10 +248,11 @@ TEST_F(ParallelFixture, InferRelationshipsMatchesSequential) {
   EXPECT_EQ(sharded.rosetta_v6.routes_resolved, sequential.rosetta_v6.routes_resolved);
 }
 
-TEST_F(ParallelFixture, ValleyCensusMatchesSequential) {
-  const auto paths = core::paths_of(rib(), IpVersion::V6);
+TEST_F(ParallelFixture, ValleyCensusMatchesAcrossJobCounts) {
+  ThreadPool one(1);
+  const auto paths = core::paths_of(rib(), IpVersion::V6, one);
   const auto inferred = core::infer_relationships(rib(), dict());
-  const auto sequential = core::census_valleys(paths, inferred.v6);
+  const auto sequential = core::census_valleys(paths, inferred.v6, one);
   ThreadPool pool(4);
   const auto sharded = core::census_valleys(paths, inferred.v6, pool);
   EXPECT_EQ(sharded.paths, sequential.paths);

@@ -2,12 +2,19 @@
 // graph, and the path store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "topology/as_graph.hpp"
 #include "topology/path_store.hpp"
 #include "topology/relationship.hpp"
 
 namespace htor {
 namespace {
+
+PathStore store_of(const std::vector<std::vector<Asn>>& paths) {
+  ThreadPool pool(1);
+  return PathStore(paths, pool);
+}
 
 TEST(Relationship, ReverseIsInvolution) {
   for (Relationship rel : {Relationship::P2C, Relationship::C2P, Relationship::P2P,
@@ -113,27 +120,29 @@ TEST(AsGraph, SelfLinkRejected) {
 }
 
 TEST(PathStore, DeduplicationAndCounts) {
-  PathStore store;
-  store.add({1, 2, 3});
-  store.add({1, 2, 3});
-  store.add({1, 2, 4});
-  store.add({7});      // ignored: single AS
-  store.add({});       // ignored: empty
+  const PathStore store = store_of({
+      {1, 2, 3},
+      {1, 2, 3},
+      {1, 2, 4},
+      {7},  // ignored: single AS
+      {},   // ignored: empty
+  });
   EXPECT_EQ(store.unique_paths(), 2u);
   EXPECT_EQ(store.total_occurrences(), 3u);
 
   std::uint64_t count_123 = 0;
-  store.for_each([&](const std::vector<Asn>& path, std::uint64_t count) {
-    if (path == std::vector<Asn>{1, 2, 3}) count_123 = count;
+  store.for_each([&](std::span<const Asn> path, std::uint64_t count) {
+    if (std::ranges::equal(path, std::vector<Asn>{1, 2, 3})) count_123 = count;
   });
   EXPECT_EQ(count_123, 2u);
 }
 
 TEST(PathStore, LinkExtraction) {
-  PathStore store;
-  store.add({1, 2, 3});
-  store.add({2, 3, 4});
-  store.add({5, 5, 6});  // prepending collapses: only link 5-6
+  const PathStore store = store_of({
+      {1, 2, 3},
+      {2, 3, 4},
+      {5, 5, 6},  // prepending collapses: only link 5-6
+  });
   const auto links = store.links();
   EXPECT_EQ(links.size(), 4u);  // 1-2, 2-3, 3-4, 5-6
   EXPECT_EQ(store.paths_containing(2, 3), 2u);
@@ -143,8 +152,7 @@ TEST(PathStore, LinkExtraction) {
 }
 
 TEST(PathStore, PathCountedOncePerLink) {
-  PathStore store;
-  store.add({1, 2, 1, 2});  // pathological path repeating a link
+  const PathStore store = store_of({{1, 2, 1, 2}});  // pathological path repeating a link
   EXPECT_EQ(store.paths_containing(1, 2), 1u);
 }
 

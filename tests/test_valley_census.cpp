@@ -9,6 +9,16 @@
 namespace htor::core {
 namespace {
 
+PathStore store_of(const std::vector<std::vector<Asn>>& paths) {
+  ThreadPool pool(1);
+  return PathStore(paths, pool);
+}
+
+ValleyCensus census_of(const PathStore& paths, const RelationshipMap& rels) {
+  ThreadPool pool(1);
+  return census_valleys(paths, rels, pool);
+}
+
 TEST(ValleyCensus, CountsClasses) {
   RelationshipMap rels;
   rels.set(1, 2, Relationship::C2P);
@@ -16,13 +26,14 @@ TEST(ValleyCensus, CountsClasses) {
   rels.set(3, 4, Relationship::C2P);  // 2-3-4 is a valley turn
   rels.set(5, 6, Relationship::P2P);
 
-  PathStore paths;
-  paths.add({1, 2, 3});     // valley-free (up, down)
-  paths.add({2, 3, 4});     // valley (down then up)
-  paths.add({1, 2, 3, 4});  // valley
-  paths.add({5, 6, 7});     // incomplete: 6-7 unknown
+  const PathStore paths = store_of({
+      {1, 2, 3},     // valley-free (up, down)
+      {2, 3, 4},     // valley (down then up)
+      {1, 2, 3, 4},  // valley
+      {5, 6, 7},     // incomplete: 6-7 unknown
+  });
 
-  const auto census = census_valleys(paths, rels);
+  const auto census = census_of(paths, rels);
   EXPECT_EQ(census.paths, 4u);
   EXPECT_EQ(census.valley_free, 1u);
   EXPECT_EQ(census.valley, 2u);
@@ -40,10 +51,9 @@ TEST(ValleyCensus, NecessityDetection) {
   rels.set(2, 5, Relationship::P2P);
 
   // 1 -> 2 -> 5 -> 4?  rel(5,4)=c2p: climb after peer: valley.
-  PathStore paths;
-  paths.add({1, 2, 5, 4});
+  const PathStore paths = store_of({{1, 2, 5, 4}});
 
-  const auto census = census_valleys(paths, rels);
+  const auto census = census_of(paths, rels);
   ASSERT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 1u);
   EXPECT_EQ(census.necessary_valleys, 1u);
@@ -62,10 +72,9 @@ TEST(ValleyCensus, UnnecessaryValleyDetected) {
   rels.set(9, 2, Relationship::P2C);
   rels.set(9, 7, Relationship::P2C);
 
-  PathStore paths;
-  paths.add({3, 2, 5, 7});
+  const PathStore paths = store_of({{3, 2, 5, 7}});
 
-  const auto census = census_valleys(paths, rels);
+  const auto census = census_of(paths, rels);
   ASSERT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 1u);
   EXPECT_EQ(census.necessary_valleys, 0u);
@@ -78,15 +87,14 @@ TEST(ValleyCensus, ValleysWithUnknownGapsAreNotClassified) {
   rels.set(1, 2, Relationship::P2C);
   rels.set(2, 3, Relationship::C2P);  // definite valley at 1-2-3
   // 3-4 left unknown.
-  PathStore paths;
-  paths.add({1, 2, 3, 4});
-  const auto census = census_valleys(paths, rels);
+  const PathStore paths = store_of({{1, 2, 3, 4}});
+  const auto census = census_of(paths, rels);
   EXPECT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 0u);
 }
 
 TEST(ValleyCensus, EmptyStore) {
-  const auto census = census_valleys(PathStore{}, RelationshipMap{});
+  const auto census = census_of(PathStore{}, RelationshipMap{});
   EXPECT_EQ(census.paths, 0u);
   EXPECT_EQ(census.valley_fraction(), 0.0);
   EXPECT_EQ(census.necessary_fraction(), 0.0);
@@ -99,11 +107,12 @@ class V4ValleyFree : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(V4ValleyFree, GroundTruthV4HasNoValleys) {
   const auto net = gen::SyntheticInternet::generate(gen::small_params(GetParam()));
   const auto rib = net.collect();
-  PathStore v4;
+  std::vector<std::vector<Asn>> paths;
   for (const auto& route : rib.routes()) {
-    if (route.af == IpVersion::V4) v4.add(route.as_path);
+    if (route.af == IpVersion::V4) paths.push_back(route.as_path);
   }
-  const auto census = census_valleys(v4, net.truth(IpVersion::V4));
+  const PathStore v4 = store_of(paths);
+  const auto census = census_of(v4, net.truth(IpVersion::V4));
   EXPECT_EQ(census.valley, 0u);
   EXPECT_EQ(census.incomplete, 0u);  // ground truth covers every link
   EXPECT_GT(census.paths, 0u);
@@ -116,11 +125,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, V4ValleyFree, ::testing::Values(1, 2, 3, 4));
 TEST(ValleyCensusGen, V6HasValleysUnderGroundTruth) {
   const auto net = gen::SyntheticInternet::generate(gen::small_params(7));
   const auto rib = net.collect();
-  PathStore v6;
+  std::vector<std::vector<Asn>> paths;
   for (const auto& route : rib.routes()) {
-    if (route.af == IpVersion::V6) v6.add(route.as_path);
+    if (route.af == IpVersion::V6) paths.push_back(route.as_path);
   }
-  const auto census = census_valleys(v6, net.truth(IpVersion::V6));
+  const PathStore v6 = store_of(paths);
+  const auto census = census_of(v6, net.truth(IpVersion::V6));
   EXPECT_GT(census.valley, 0u);
   EXPECT_GT(census.paths, census.valley);  // not everything is a valley
 }
