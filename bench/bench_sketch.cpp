@@ -1,29 +1,19 @@
-// Sketch-layer microbenchmarks plus the 100k-AS ingest before/after.
+// Sketch-layer microbenchmarks.
 //
-// The BM_Hll* / BM_Cms* / BM_Bloom* benches time the per-item hot paths the
-// ingest shards run (one add/update/insert per route entity) and the merge
-// step the shard-order absorb pays per shard.  The BM_Ingest100k* pair is
-// the exact→sketch trajectory the telemetry layer exists for: counting the
-// unique entities of a ≥100k-AS RIB with exact hash sets versus with one
-// IngestBundle, with the resident bytes of each reported as a counter —
-// sketch memory is fixed (~80 KiB of HLL/CMS state) no matter how large the
-// stream, while the exact sets grow with the census.
+// The BM_Hll* / BM_Cms* benches time the per-item hot paths (one add or
+// update per entity: live churn feeds the HLLs per applied route, the census
+// feeds the CMS once per voted link) and the merge step a shard-order merge
+// pays per shard.
 //
-// BM_Hll*/BM_Cms* double as the CTest bench-smoke step (the ASan CI job
-// runs them with --benchmark_filter), so they must stay self-contained and
-// fast: the 100k dataset is built lazily only when an ingest bench runs.
+// They double as the CTest bench-smoke step (the ASan CI job runs them with
+// --benchmark_filter), so they stay self-contained and fast.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
-#include "gen/internet.hpp"
-#include "mrt/rib_view.hpp"
-#include "obs/sketch/bloom.hpp"
 #include "obs/sketch/cms.hpp"
 #include "obs/sketch/hll.hpp"
-#include "obs/sketch/telemetry.hpp"
 
 namespace {
 
@@ -97,91 +87,6 @@ void BM_CmsMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CmsMerge);
-
-void BM_BloomInsert(benchmark::State& state) {
-  const auto items = make_items(8);
-  Bloom bloom(1 << 20, 0.01, kTelemetrySeed);
-  for (auto _ : state) {
-    for (const std::uint64_t item : items) benchmark::DoNotOptimize(bloom.insert(item));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * items.size()));
-}
-BENCHMARK(BM_BloomInsert);
-
-void BM_BloomQuery(benchmark::State& state) {
-  const auto members = make_items(9);
-  const auto probes = make_items(10);  // ~50/50 hit/miss at this load
-  Bloom bloom(1 << 20, 0.01, kTelemetrySeed);
-  for (const std::uint64_t item : members) bloom.insert(item);
-  for (auto _ : state) {
-    for (const std::uint64_t item : probes) benchmark::DoNotOptimize(bloom.contains(item));
-    for (const std::uint64_t item : members) benchmark::DoNotOptimize(bloom.contains(item));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * (probes.size() + members.size())));
-}
-BENCHMARK(BM_BloomQuery);
-
-// ------------------------------------------------ 100k-AS ingest pair
-
-/// The ≥100k-AS RIB, built once and only when an ingest bench runs: the
-/// scale generator plus the O(N·vantages) collector keep this in seconds.
-const mrt::ObservedRib& scale_rib() {
-  static const mrt::ObservedRib rib = [] {
-    const auto net = gen::SyntheticInternet::generate(gen::scale_params(100'100, 42));
-    return net.collect_scaled(2);
-  }();
-  return rib;
-}
-
-void BM_Ingest100kExactCount(benchmark::State& state) {
-  const auto& rib = scale_rib();
-  std::size_t resident = 0;
-  for (auto _ : state) {
-    std::unordered_set<std::uint64_t> ases;
-    std::unordered_set<std::uint64_t> prefixes;
-    std::unordered_set<std::uint64_t> links;
-    for (const auto& route : rib.routes()) {
-      prefixes.insert(prefix_item(route.prefix));
-      std::uint32_t prev = 0;
-      bool have_prev = false;
-      for (const std::uint32_t asn : route.as_path) {
-        if (have_prev && asn == prev) continue;
-        ases.insert(as_item(asn));
-        if (have_prev) links.insert(link_item(prev, asn));
-        prev = asn;
-        have_prev = true;
-      }
-    }
-    benchmark::DoNotOptimize(ases.size() + prefixes.size() + links.size());
-    // Conservative resident estimate: one bucket pointer per bucket plus a
-    // heap node (key + next + allocator overhead) per element.
-    resident = 0;
-    for (const auto* set : {&ases, &prefixes, &links}) {
-      resident += set->bucket_count() * sizeof(void*) + set->size() * 32;
-    }
-  }
-  state.counters["resident_bytes"] = static_cast<double>(resident);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * rib.routes().size()));
-}
-BENCHMARK(BM_Ingest100kExactCount)->Unit(benchmark::kMillisecond);
-
-void BM_Ingest100kSketchCount(benchmark::State& state) {
-  const auto& rib = scale_rib();
-  std::size_t resident = 0;
-  for (auto _ : state) {
-    IngestBundle bundle;
-    for (const auto& route : rib.routes()) bundle.add_route(route.prefix, route.as_path);
-    benchmark::DoNotOptimize(bundle.ases.estimate_count());
-    resident = bundle.ases.memory_bytes() + bundle.prefixes.memory_bytes() +
-               bundle.links.memory_bytes() + bundle.origins.memory_bytes();
-  }
-  state.counters["resident_bytes"] = static_cast<double>(resident);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * rib.routes().size()));
-}
-BENCHMARK(BM_Ingest100kSketchCount)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -36,7 +36,8 @@ int main() {
   std::cout << "collector RIB: " << writer.data().size() << " bytes of MRT\n";
 
   // 3. Parse the bytes back and mine the IRR text.
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()));
+  ThreadPool pool(1);
+  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   std::cout << "community dictionary: " << dict.size() << " entries from "
             << dict.documented_asns().size() << " documented ASes\n";

@@ -42,7 +42,7 @@ namespace htor::live {
 
 /// FNV-1a unordered_map functor for the retractable path maps below.
 /// Process-local only — never feeds a mergeable sketch (those hash through
-/// obs/sketch/hash.hpp).
+/// util/hash.hpp).
 struct AsnVectorHash {
   std::size_t operator()(const std::vector<Asn>& v) const {
     // lint: allow(raw-hash) unordered_map functor, not sketch input
@@ -178,8 +178,8 @@ class IncrementalCensus {
   std::uint32_t last_timestamp_ = 0;
 
   // Epoch-scoped churn sketches, fed by apply() only (the seed RIB is not
-  // churn).  A smaller precision than the ingest sketches: churn per epoch
-  // is orders of magnitude below whole-RIB cardinality.
+  // churn).  Precision 12 rather than the default 14: churn per epoch is
+  // orders of magnitude below whole-RIB cardinality.
   obs::sketch::Hll churn_ases_{12, obs::sketch::kTelemetrySeed};
   obs::sketch::Hll churn_prefixes_{12, obs::sketch::kTelemetrySeed};
   obs::sketch::Hll churn_links_{12, obs::sketch::kTelemetrySeed};

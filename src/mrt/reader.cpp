@@ -59,6 +59,15 @@ Bgp4mpMessage decode_bgp4mp(ByteReader& r, bool as4) {
   return msg;
 }
 
+/// A modelled body must be consumed exactly: leftover bytes mean the
+/// record's length field and its contents disagree.
+void expect_exhausted(const ByteReader& r, const char* record_type) {
+  if (!r.exhausted()) {
+    throw DecodeError(std::string("trailing bytes after ") + record_type + " record: " +
+                      std::to_string(r.remaining()) + " left over");
+  }
+}
+
 }  // namespace
 
 std::optional<Record> MrtReader::next() {
@@ -80,12 +89,15 @@ Record decode_record_body(std::uint32_t timestamp, std::uint16_t type, std::uint
     switch (static_cast<TableDumpV2Subtype>(subtype)) {
       case TableDumpV2Subtype::PeerIndexTable:
         record.body = decode_peer_index_table(body);
+        expect_exhausted(body, "PEER_INDEX_TABLE");
         return record;
       case TableDumpV2Subtype::RibIpv4Unicast:
         record.body = decode_rib(body, IpVersion::V4);
+        expect_exhausted(body, "RIB_IPV4_UNICAST");
         return record;
       case TableDumpV2Subtype::RibIpv6Unicast:
         record.body = decode_rib(body, IpVersion::V6);
+        expect_exhausted(body, "RIB_IPV6_UNICAST");
         return record;
       default:
         break;  // fall through to raw

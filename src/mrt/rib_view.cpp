@@ -1,31 +1,13 @@
 #include "mrt/rib_view.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "core/parallel.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace htor::mrt {
-
-namespace {
-
-/// Feed a route's links through the global Bloom seen-set, in path order.
-/// Runs on the sequential apply leg only, so the feed order is the record
-/// order — identical for every --jobs value and for both ingest paths.
-void note_route_links(obs::sketch::Telemetry& telemetry, const ObservedRoute& route) {
-  std::uint32_t prev = 0;
-  bool have_prev = false;
-  for (const std::uint32_t asn : route.as_path) {
-    if (have_prev && asn == prev) continue;
-    if (have_prev) telemetry.note_link_seen(obs::sketch::link_item(prev, asn));
-    prev = asn;
-    have_prev = true;
-  }
-}
-
-}  // namespace
 
 void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers,
                      std::vector<ObservedRoute>& out) {
@@ -54,6 +36,18 @@ void ObservedRib::add(ObservedRoute route) {
   routes_.push_back(std::move(route));
 }
 
+void ObservedRib::append(std::vector<ObservedRoute> routes) {
+  for (const auto& route : routes) {
+    if (route.af == IpVersion::V4) {
+      ++v4_count_;
+    } else {
+      ++v6_count_;
+    }
+  }
+  routes_.insert(routes_.end(), std::make_move_iterator(routes.begin()),
+                 std::make_move_iterator(routes.end()));
+}
+
 std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
   std::vector<const ObservedRoute*> out;
   out.reserve(size_of(af));
@@ -65,33 +59,6 @@ std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
 
 std::size_t ObservedRib::size_of(IpVersion af) const {
   return af == IpVersion::V4 ? v4_count_ : v6_count_;
-}
-
-ObservedRib rib_from_records(const std::vector<Record>& records) {
-  ObservedRib rib;
-  auto& telemetry = obs::sketch::Telemetry::global();
-  obs::sketch::IngestBundle sketches;
-  const PeerIndexTable* peers = nullptr;
-  for (const auto& record : records) {
-    if (const auto* pit = std::get_if<PeerIndexTable>(&record.body)) {
-      peers = pit;
-      continue;
-    }
-    const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
-    if (rib_rec == nullptr) continue;  // BGP4MP / raw records are not RIB state
-    if (peers == nullptr) {
-      throw DecodeError("RIB record before any PEER_INDEX_TABLE");
-    }
-    std::vector<ObservedRoute> joined;
-    join_rib_record(*rib_rec, *peers, joined);
-    for (auto& route : joined) {
-      sketches.add_route(route.prefix, route.as_path);
-      note_route_links(telemetry, route);
-      rib.add(std::move(route));
-    }
-  }
-  telemetry.absorb(sketches);
-  return rib;
 }
 
 ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool) {
@@ -114,32 +81,17 @@ ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& poo
   }
 
   // The per-record attribute joins (AS_SET flattening, community copies)
-  // shard on the pool; shards merge in record order.
-  struct DecodedShard {
-    std::vector<ObservedRoute> routes;
-    obs::sketch::IngestBundle sketches;
-  };
+  // shard on the pool; each shard's routes append in record order.
   auto shards = core::shard_map(pool, joins.size(), [&joins](const core::ShardRange& range) {
-    DecodedShard out;
+    std::vector<ObservedRoute> routes;
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      const std::size_t first = out.routes.size();
-      join_rib_record(*joins[i].first, *joins[i].second, out.routes);
-      for (std::size_t r = first; r < out.routes.size(); ++r) {
-        out.sketches.add_route(out.routes[r].prefix, out.routes[r].as_path);
-      }
+      join_rib_record(*joins[i].first, *joins[i].second, routes);
     }
-    return out;
+    return routes;
   });
 
   ObservedRib rib;
-  auto& telemetry = obs::sketch::Telemetry::global();
-  for (auto& shard : shards) {
-    telemetry.absorb(shard.sketches);
-    for (auto& route : shard.routes) {
-      note_route_links(telemetry, route);
-      rib.add(std::move(route));
-    }
-  }
+  for (auto& routes : shards) rib.append(std::move(routes));
   return rib;
 }
 

@@ -4,7 +4,10 @@
 //
 // rib_from_records() performs the PEER_INDEX_TABLE join that turns raw MRT
 // TABLE_DUMP_V2 records into observed routes; records_from_rib() is the
-// inverse and is what the synthetic collector uses to emit dumps.
+// inverse and is what the synthetic collector uses to emit dumps.  Both
+// ingest paths (this one and mrt::rib_from_stream) are decode + join on a
+// pool, then one bulk append per shard: no per-route work on the
+// sequential leg.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +37,9 @@ class ObservedRib {
  public:
   void add(ObservedRoute route);
 
+  /// Move a batch of routes onto the end, in order.
+  void append(std::vector<ObservedRoute> routes);
+
   const std::vector<ObservedRoute>& routes() const { return routes_; }
 
   /// Routes of one family, by reference into routes().
@@ -55,15 +61,12 @@ class ObservedRib {
 void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers,
                      std::vector<ObservedRoute>& out);
 
-/// Join RIB records against their PEER_INDEX_TABLE.  Records before the
-/// first peer-index table are rejected (DecodeError), as are entries whose
-/// peer index is out of range.  AS_SETs are flattened into the path.
-ObservedRib rib_from_records(const std::vector<Record>& records);
-
-/// Sharded variant of the join: a sequential pre-scan maps every record to
-/// its governing peer-index table (and fails fast on records before the
-/// first one), then the per-record entry joins run on `pool` and merge in
-/// shard order — the resulting RIB is identical to the sequential overload.
+/// Join RIB records against their PEER_INDEX_TABLE.  A sequential pre-scan
+/// maps every record to its governing peer-index table; records before the
+/// first one are rejected (DecodeError), as are entries whose peer index is
+/// out of range.  The per-record entry joins run on `pool` and append in
+/// shard order, so every pool size (ThreadPool(1) runs inline) gives the
+/// same RIB.  AS_SETs are flattened into the path.
 ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool);
 
 /// Serialize an observed RIB back to MRT TABLE_DUMP_V2 records (one

@@ -6,9 +6,9 @@
 // Peak memory is one batch of raw bodies plus their decoded routes plus the
 // growing RIB, versus the load-all path's whole-file buffer plus whole-file
 // Record vector plus RIB.  Batches have a FIXED record count and shard with
-// the same fixed shard_ranges() as the in-memory join, merging strictly in
+// the same fixed shard_ranges() as the in-memory join, appending strictly in
 // record order, so rib_from_stream() is byte-identical to
-// rib_from_records(read_all(load_file(path))) at any pool size.
+// rib_from_records(read_all(load_file(path)), pool) at any pool size.
 #pragma once
 
 #include <cstdint>
@@ -79,15 +79,13 @@ class MrtStreamReader {
 inline constexpr std::size_t kStreamBatchRecords = 4096;
 
 /// Stream `path` into an ObservedRib: headers are scanned sequentially,
-/// bodies of each fixed-size batch decode in parallel on `pool`, and joined
-/// routes merge in record order.  All records are fully decoded (non-RIB
-/// bodies too), so malformed input fails with the same DecodeError
-/// discipline as the in-memory path, and the resulting RIB is identical to
-/// rib_from_records(read_all(load_file(path))).
+/// bodies of each fixed-size batch decode in parallel on `pool`, and each
+/// shard's joined routes append in record order.  All records are fully
+/// decoded (non-RIB bodies too), so malformed input fails with the same
+/// DecodeError discipline as the in-memory path, and the resulting RIB is
+/// identical to rib_from_records(read_all(load_file(path)), pool).  A
+/// ThreadPool(1) runs the whole ingest inline.
 ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
                             std::size_t batch_records = kStreamBatchRecords);
-
-/// Sequential convenience overload (inline pool).
-ObservedRib rib_from_stream(const std::string& path);
 
 }  // namespace htor::mrt

@@ -54,7 +54,7 @@ class Prefix {
 
 /// FNV-1a over the canonical bytes; suitable for unordered_map keys.
 /// Process-local only — never feeds a mergeable sketch (those hash through
-/// obs/sketch/hash.hpp), so the inline constants are fine here.
+/// util/hash.hpp), so the inline constants are fine here.
 struct PrefixHash {
   std::size_t operator()(const Prefix& p) const {
     // lint: allow(raw-hash) unordered_map functor, not sketch input

@@ -100,6 +100,8 @@ class Cms {
   struct HeavyHitter {
     std::uint64_t item;
     std::uint64_t estimate;
+
+    friend bool operator==(const HeavyHitter&, const HeavyHitter&) = default;
   };
 
   /// Top candidates, sorted by estimate desc then item asc.  At most

@@ -6,7 +6,7 @@
 //     any order and merged in shard order give byte-identical registers at
 //     every `--jobs` value, and re-feeding an already-counted stream
 //     cannot move the estimate.
-//   * Deterministic: one seed, one hash function (obs/sketch/hash.hpp),
+//   * Deterministic: one seed, one hash function (util/hash.hpp),
 //     no floating-point accumulation during ingest — doubles only appear
 //     in `estimate()`, computed from integer registers.
 //   * Header-only and dense: precision p gives 2^p uint8 registers

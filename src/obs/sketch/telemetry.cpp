@@ -2,64 +2,18 @@
 
 namespace htor::obs::sketch {
 
-namespace {
-
-/// Bloom shape for the seen-link pre-filter: sized for an internet-scale
-/// link census (~1M distinct links at 1% false positives ≈ 1.2 MiB — the
-/// dominant sketch allocation, still fixed no matter the stream length).
-constexpr std::size_t kSeenLinksExpected = 1u << 20;
-constexpr double kSeenLinksFpRate = 0.01;
-
-}  // namespace
-
 Telemetry& Telemetry::global() {
   static Telemetry* instance = new Telemetry();  // never destroyed
   return *instance;
 }
 
 Telemetry::Telemetry()
-    : ases_(Hll::kDefaultPrecision, kTelemetrySeed),
-      prefixes_(Hll::kDefaultPrecision, kTelemetrySeed),
-      links_(Hll::kDefaultPrecision, kTelemetrySeed),
-      origins_(Cms::kDefaultWidthLog2, Cms::kDefaultDepth, Cms::kDefaultTopK, kTelemetrySeed),
-      link_votes_(Cms::kDefaultWidthLog2, Cms::kDefaultDepth, Cms::kDefaultTopK,
-                  kTelemetrySeed),
-      seen_links_(kSeenLinksExpected, kSeenLinksFpRate, kTelemetrySeed) {
+    : link_votes_(Cms::kDefaultWidthLog2, Cms::kDefaultDepth, Cms::kDefaultTopK,
+                  kTelemetrySeed) {
   auto& registry = MetricsRegistry::global();
   using Kind = MetricsRegistry::Kind;
   // Callbacks run at scrape time under the registry's lock and take ours —
   // never the other way around, so the lock order is acyclic.
-  registrations_.push_back(registry.callback(
-      "htor_sketch_unique_as_estimate", {}, Kind::Gauge, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return ases_.estimate_count();
-      }));
-  registrations_.push_back(registry.callback(
-      "htor_sketch_unique_prefixes_estimate", {}, Kind::Gauge, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return prefixes_.estimate_count();
-      }));
-  registrations_.push_back(registry.callback(
-      "htor_sketch_unique_links_estimate", {}, Kind::Gauge, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return links_.estimate_count();
-      }));
-  registrations_.push_back(registry.callback(
-      "htor_sketch_bloom_link_hits_total", {}, Kind::Counter, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return static_cast<std::int64_t>(bloom_hits_);
-      }));
-  registrations_.push_back(registry.callback(
-      "htor_sketch_bloom_link_misses_total", {}, Kind::Counter, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return static_cast<std::int64_t>(bloom_misses_);
-      }));
-  registrations_.push_back(registry.callback(
-      "htor_sketch_top_origin_routes", {}, Kind::Gauge, [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto top = origins_.top();
-        return top.empty() ? std::int64_t{0} : static_cast<std::int64_t>(top.front().estimate);
-      }));
   registrations_.push_back(registry.callback(
       "htor_sketch_top_link_votes", {}, Kind::Gauge, [this] {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -79,30 +33,8 @@ Telemetry::Telemetry()
   registrations_.push_back(registry.callback(
       "htor_sketch_memory_bytes", {}, Kind::Gauge, [this] {
         std::lock_guard<std::mutex> lock(mutex_);
-        return static_cast<std::int64_t>(ases_.memory_bytes() + prefixes_.memory_bytes() +
-                                         links_.memory_bytes() + origins_.memory_bytes() +
-                                         link_votes_.memory_bytes() +
-                                         seen_links_.memory_bytes());
+        return static_cast<std::int64_t>(link_votes_.memory_bytes());
       }));
-}
-
-void Telemetry::absorb(const IngestBundle& bundle) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ases_.merge(bundle.ases);
-  prefixes_.merge(bundle.prefixes);
-  links_.merge(bundle.links);
-  origins_.merge(bundle.origins);
-}
-
-bool Telemetry::note_link_seen(std::uint64_t link) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const bool hit = seen_links_.insert(link);
-  if (hit) {
-    ++bloom_hits_;
-  } else {
-    ++bloom_misses_;
-  }
-  return hit;
 }
 
 void Telemetry::feed_link_votes(
@@ -121,30 +53,17 @@ void Telemetry::set_epoch_churn(std::int64_t ases, std::int64_t prefixes, std::i
 Telemetry::Snapshot Telemetry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Snapshot out;
-  out.unique_ases = ases_.estimate_count();
-  out.unique_prefixes = prefixes_.estimate_count();
-  out.unique_links = links_.estimate_count();
-  out.bloom_hits = bloom_hits_;
-  out.bloom_misses = bloom_misses_;
-  out.origin_routes_total = origins_.total_weight();
-  out.top_origins = origins_.top();
   out.top_link_votes = link_votes_.top();
-  out.memory_bytes = ases_.memory_bytes() + prefixes_.memory_bytes() + links_.memory_bytes() +
-                     origins_.memory_bytes() + link_votes_.memory_bytes() +
-                     seen_links_.memory_bytes();
+  out.epoch_churn_ases = epoch_churn_ases_;
+  out.epoch_churn_prefixes = epoch_churn_prefixes_;
+  out.epoch_churn_links = epoch_churn_links_;
+  out.memory_bytes = link_votes_.memory_bytes();
   return out;
 }
 
 void Telemetry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  ases_.reset();
-  prefixes_.reset();
-  links_.reset();
-  origins_.reset();
   link_votes_.reset();
-  seen_links_.reset();
-  bloom_hits_ = 0;
-  bloom_misses_ = 0;
   epoch_churn_ases_ = 0;
   epoch_churn_prefixes_ = 0;
   epoch_churn_links_ = 0;

@@ -1,20 +1,15 @@
 // Process-wide sketch telemetry: the probabilistic counterpart of
 // obs::MetricsRegistry for values that are *sets*, not scalars.
 //
-// Exact per-entity counting (every AS, prefix, and link seen during ingest)
-// does not hold at internet scale — ~1M prefixes × hundreds of peers — so
-// this owner keeps HyperLogLogs for unique-entity cardinality, count-min
-// sketches for heavy hitters (busiest origin ASes, most-voted links), and a
-// Bloom seen-set pre-filter over links.  Memory is fixed no matter how big
-// the stream gets (~80 KiB total at the default shapes; see memory_bytes()).
+// Sketches sit only where fixed memory over an unbounded or unsorted stream
+// is the point: a count-min sketch over the census's community-vote tallies
+// (most-voted links) and the live tier's per-epoch churn cardinalities.
+// Ingest feeds nothing here — the RIB it builds is held in full, so its
+// counts are exact (the CLI prints them from the RIB and the census).
 //
-// Feed discipline mirrors core/parallel.hpp: hot paths accumulate into
-// per-shard IngestBundles with no locking, and absorb() merges them in shard
-// order.  HLL merge (max) and Bloom merge (or) are order-independent, so
-// estimates are byte-identical at every --jobs value; the CMS counter plane
-// is order-independent too, only its heavy-hitter *candidate* set depends on
-// feed order — which is why the shard boundaries are fixed and
-// feed_link_votes takes a caller-sorted stream.
+// The CMS heavy-hitter *candidate* set depends on feed order, which is why
+// feed_link_votes takes a caller-sorted stream: the estimates are then
+// byte-identical at every --jobs value.
 //
 // Everything surfaces as `htor_sketch_*` callback metrics on
 // MetricsRegistry::global(), so GET /metrics and /v1/metrics pick the
@@ -28,14 +23,14 @@
 
 #include "netbase/prefix.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/bloom.hpp"
 #include "obs/sketch/cms.hpp"
-#include "obs/sketch/hll.hpp"
+#include "obs/sketch/hash.hpp"
 
 namespace htor::obs::sketch {
 
 /// Item derivations — the single definition of how census entities map into
-/// the uint64 sketch item space, shared by ingest, the live tier, and tests.
+/// the uint64 sketch item space, shared by the census, the live tier, and
+/// tests.
 inline std::uint64_t as_item(std::uint32_t asn) { return asn; }
 
 /// Canonical (unordered) link identity: smaller ASN in the high word.
@@ -54,42 +49,8 @@ inline std::uint64_t prefix_item(const Prefix& prefix) {
   return h;
 }
 
-/// Per-shard accumulator for the ingest hot path: built inside a shard_map
-/// lambda with no locking, merged into the global Telemetry in shard order.
-struct IngestBundle {
-  Hll ases{Hll::kDefaultPrecision, kTelemetrySeed};
-  Hll prefixes{Hll::kDefaultPrecision, kTelemetrySeed};
-  Hll links{Hll::kDefaultPrecision, kTelemetrySeed};
-  Cms origins{Cms::kDefaultWidthLog2, Cms::kDefaultDepth, Cms::kDefaultTopK, kTelemetrySeed};
-
-  /// Record one observed route: its prefix, every AS on the (collapsed)
-  /// path, every adjacent link, and the origin AS (last hop) as one more
-  /// route for that origin.
-  void add_route(const Prefix& prefix, const std::vector<std::uint32_t>& as_path) {
-    prefixes.add(prefix_item(prefix));
-    std::uint32_t prev = 0;
-    bool have_prev = false;
-    for (const std::uint32_t asn : as_path) {
-      if (have_prev && asn == prev) continue;  // prepending collapses
-      ases.add(as_item(asn));
-      if (have_prev) links.add(link_item(prev, asn));
-      prev = asn;
-      have_prev = true;
-    }
-    if (have_prev) origins.update(as_item(prev));
-  }
-
-  void merge(const IngestBundle& other) {
-    ases.merge(other.ases);
-    prefixes.merge(other.prefixes);
-    links.merge(other.links);
-    origins.merge(other.origins);
-  }
-};
-
-/// Global owner of the process's sketches.  All access is mutex-guarded —
-/// the hot paths touch it once per shard (absorb) or once per applied route
-/// (the Bloom pre-filter, which runs on the sequential apply leg anyway).
+/// Global owner of the process's sketches.  All access is mutex-guarded;
+/// each feed is one call per census run or per published epoch.
 class Telemetry {
  public:
   /// Never destroyed, like MetricsRegistry::global(): callback metrics
@@ -98,13 +59,6 @@ class Telemetry {
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
-
-  /// Merge one shard's accumulator.  Call in shard order.
-  void absorb(const IngestBundle& bundle);
-
-  /// Bloom "seen this link?" pre-filter: inserts and returns prior
-  /// membership, counting the answer as hit or miss.
-  bool note_link_seen(std::uint64_t link);
 
   /// Feed the post-merge community-vote tallies (item = packed LinkKey,
   /// weight = total votes).  The caller sorts by item first so the CMS
@@ -115,18 +69,15 @@ class Telemetry {
   /// (from the epoch-scoped HLLs the live tier owns).
   void set_epoch_churn(std::int64_t ases, std::int64_t prefixes, std::int64_t links);
 
-  /// Everything the census report / `inspect` heavy-hitters table needs,
-  /// captured under one lock.
+  /// Everything the census report needs, captured under one lock.
   struct Snapshot {
-    std::int64_t unique_ases = 0;
-    std::int64_t unique_prefixes = 0;
-    std::int64_t unique_links = 0;
-    std::uint64_t bloom_hits = 0;
-    std::uint64_t bloom_misses = 0;
-    std::uint64_t origin_routes_total = 0;  ///< CMS stream weight (= routes fed)
-    std::vector<Cms::HeavyHitter> top_origins;
     std::vector<Cms::HeavyHitter> top_link_votes;
+    std::int64_t epoch_churn_ases = 0;
+    std::int64_t epoch_churn_prefixes = 0;
+    std::int64_t epoch_churn_links = 0;
     std::size_t memory_bytes = 0;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
   };
   Snapshot snapshot() const;
 
@@ -138,14 +89,7 @@ class Telemetry {
   Telemetry();
 
   mutable std::mutex mutex_;
-  Hll ases_;
-  Hll prefixes_;
-  Hll links_;
-  Cms origins_;
   Cms link_votes_;
-  Bloom seen_links_;
-  std::uint64_t bloom_hits_ = 0;
-  std::uint64_t bloom_misses_ = 0;
   std::int64_t epoch_churn_ases_ = 0;
   std::int64_t epoch_churn_prefixes_ = 0;
   std::int64_t epoch_churn_links_ = 0;

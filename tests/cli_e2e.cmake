@@ -61,8 +61,9 @@ foreach(needle
         "dual-stack links"
         "hybrid links"
         "IPv6 valley paths"
-        "sketch telemetry"
-        "unique ASes (HLL)")
+        "unique ASes "
+        "unique prefixes "
+        "unique AS links ")
   string(FIND "${census_j1}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "census report is missing line '${needle}':\n${census_j1}")

@@ -1,4 +1,4 @@
-// Fuzz target: the sketch layer (obs/sketch/ Hll, Cms, Bloom).
+// Fuzz target: the sketch layer (obs/sketch/ Hll, Cms).
 //
 // The sketches are not wire decoders — their contract is stronger: for ANY
 // in-range shape and ANY item stream they never throw, and the algebraic
@@ -6,21 +6,18 @@
 //
 //   * HLL merge is commutative and idempotent (register-for-register);
 //   * CMS point queries never undercount a tracked exact tally, before or
-//     after a merge, and total_weight is exactly additive;
-//   * Bloom never reports a false negative, and merge is the bitwise OR.
+//     after a merge, and total_weight is exactly additive.
 //
 // The harness maps the fuzz bytes onto an op stream: byte 0 picks the
 // sketch shapes, then 9-byte chunks [opcode][item, little-endian] drive
-// adds/updates/inserts into two shards of each sketch plus periodic
+// adds/updates into two shards of each sketch plus periodic
 // invariant checkpoints.  A trailing partial chunk is the one malformed
 // input and is rejected with a reasoned ParseError; an invariant violation
 // throws std::logic_error, which the driver counts as a contract breach.
 #include "fuzz/driver.hpp"
 
 #include <map>
-#include <unordered_set>
 
-#include "obs/sketch/bloom.hpp"
 #include "obs/sketch/cms.hpp"
 #include "obs/sketch/hll.hpp"
 
@@ -37,20 +34,15 @@ void require(bool ok, const char* what) {
 struct Machine {
   Hll hll_a, hll_b;
   Cms cms_a, cms_b;
-  Bloom bloom_a, bloom_b;
-  std::map<std::uint64_t, std::uint64_t> exact_counts;     // item -> true total
-  std::unordered_set<std::uint64_t> bloom_members;         // inserted into either
+  std::map<std::uint64_t, std::uint64_t> exact_counts;  // item -> true total
 
   static constexpr std::size_t kExactTracked = 64;
-  static constexpr std::size_t kMembersTracked = 4096;
 
   explicit Machine(std::uint8_t shape)
       : hll_a(10 + shape % 5, kTelemetrySeed),
         hll_b(10 + shape % 5, kTelemetrySeed),
         cms_a(8 + shape % 5, 2 + shape % 3, 8, kTelemetrySeed),
-        cms_b(8 + shape % 5, 2 + shape % 3, 8, kTelemetrySeed),
-        bloom_a(1024 + shape * 64, 0.02, kTelemetrySeed),
-        bloom_b(1024 + shape * 64, 0.02, kTelemetrySeed) {}
+        cms_b(8 + shape % 5, 2 + shape % 3, 8, kTelemetrySeed) {}
 
   void cms_update(Cms& cms, std::uint64_t item, std::uint64_t weight) {
     cms.update(item, weight);
@@ -59,26 +51,18 @@ struct Machine {
     }
   }
 
-  void bloom_insert(Bloom& bloom, std::uint64_t item) {
-    bloom.insert(item);
-    if (bloom_members.size() < kMembersTracked) bloom_members.insert(item);
-  }
-
   void step(std::uint8_t opcode, std::uint64_t item) {
-    switch (opcode % 8) {
+    switch (opcode % 6) {
       case 0: hll_a.add(item); break;
       case 1: hll_b.add(item); break;
       case 2: cms_update(cms_a, item, (item >> 56) + 1); break;
       case 3: cms_update(cms_b, item, 1); break;
-      case 4: bloom_insert(bloom_a, item); break;
-      case 5: bloom_insert(bloom_b, item); break;
-      case 6: check_invariants(); break;
-      case 7:
+      case 4: check_invariants(); break;
+      case 5:
       default: {
         const double estimate = hll_a.estimate();
         require(std::isfinite(estimate) && estimate >= 0.0, "HLL estimate finite and >= 0");
         (void)cms_a.query(item);
-        (void)bloom_a.contains(item);
         break;
       }
     }
@@ -106,13 +90,6 @@ struct Machine {
       require(merged.query(item) >= true_count, "CMS never undercounts");
     }
     require(merged.top().size() <= merged.top_k(), "CMS top() bounded by top_k");
-
-    // Bloom: merge is the OR, and no member is ever reported absent.
-    Bloom both = bloom_a;
-    both.merge(bloom_b);
-    for (const std::uint64_t item : bloom_members) {
-      require(both.contains(item), "Bloom no false negatives after merge");
-    }
   }
 };
 

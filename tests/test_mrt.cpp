@@ -155,6 +155,12 @@ TEST(RibView, CountsByFamily) {
   EXPECT_EQ(rib.routes_of(IpVersion::V6)[0]->origin_asn(), 100u);
 }
 
+/// The RIB join on an inline pool.
+ObservedRib join(const std::vector<Record>& records) {
+  ThreadPool pool(1);
+  return rib_from_records(records, pool);
+}
+
 TEST(RibView, MrtRoundTripPreservesRoutes) {
   const auto rib = sample_rib();
   const auto records = records_from_rib(rib, 0xc0ffee00u, "rt", 1281052800u);
@@ -163,7 +169,7 @@ TEST(RibView, MrtRoundTripPreservesRoutes) {
   MrtWriter w;
   for (const auto& rec : records) w.write(rec);
   const auto parsed = read_all(w.data());
-  const auto out = rib_from_records(parsed);
+  const auto out = join(parsed);
 
   ASSERT_EQ(out.size(), rib.size());
   // Order may differ (grouped by prefix); compare as sets.
@@ -180,7 +186,7 @@ TEST(RibView, RejectsRibBeforePeerTable) {
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
   rib.entries.push_back({});
-  EXPECT_THROW(rib_from_records({Record{0, rib}}), DecodeError);
+  EXPECT_THROW(join({Record{0, rib}}), DecodeError);
 }
 
 TEST(RibView, RejectsOutOfRangePeerIndex) {
@@ -190,7 +196,7 @@ TEST(RibView, RejectsOutOfRangePeerIndex) {
   RibEntry entry;
   entry.peer_index = 4;
   rib.entries.push_back(entry);
-  EXPECT_THROW(rib_from_records({Record{0, pit}, Record{0, rib}}), DecodeError);
+  EXPECT_THROW(join({Record{0, pit}, Record{0, rib}}), DecodeError);
 }
 
 TEST(RibView, RejectsMoreThan16BitPeers) {
@@ -221,7 +227,7 @@ TEST(RibView, FlattensAsSets) {
   path.add_segment({bgp::AsSegmentType::Set, {1, 2}});
   entry.attrs.as_path = path;
   rib.entries.push_back(entry);
-  const auto out = rib_from_records({Record{0, pit}, Record{0, rib}});
+  const auto out = join({Record{0, pit}, Record{0, rib}});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.routes()[0].as_path, (std::vector<Asn>{64500, 1, 2}));
 }

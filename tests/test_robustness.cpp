@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "bgp/message.hpp"
+#include "core/pipeline.hpp"
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
@@ -84,7 +86,8 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
         }
       },
       DecodeError);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes)), DecodeError);
+  ThreadPool pool(1);
+  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
 
   // Same file on disk through the streaming reader.
   const std::string path = ::testing::TempDir() + "/trunc_header.mrt";
@@ -93,7 +96,7 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
     ASSERT_TRUE(out);
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
   }
-  EXPECT_THROW(mrt::rib_from_stream(path), DecodeError);
+  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -110,7 +113,8 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
         }
       },
       DecodeError);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes)), DecodeError);
+  ThreadPool pool(1);
+  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
 
   const std::string path = ::testing::TempDir() + "/garbage_header.mrt";
   {
@@ -118,7 +122,7 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
     ASSERT_TRUE(out);
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
   }
-  EXPECT_THROW(mrt::rib_from_stream(path), DecodeError);
+  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -141,13 +145,68 @@ TEST(Robustness, TruncatedRibFileFailsFast) {
 
   const auto data = mrt::load_file(path);
   ASSERT_EQ(data.size(), cut);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data)), DecodeError);
-
-  // The sharded join shows the same discipline.
-  ThreadPool pool(4);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError) << jobs;
+  }
 
   std::remove(path.c_str());
+}
+
+/// `bytes` with 3 bytes appended to the body of the first record of
+/// TABLE_DUMP_V2 `subtype`, its length field fixed up to match: the framing
+/// stays valid, the body carries leftovers its decoder does not consume.
+std::vector<std::uint8_t> with_trailing_body_bytes(std::vector<std::uint8_t> bytes,
+                                                   std::uint16_t subtype) {
+  const auto be = [&bytes](std::size_t at, std::size_t n) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = v << 8 | bytes[at + i];
+    return v;
+  };
+  std::size_t at = 0;
+  while (be(at + 4, 2) != 13 || be(at + 6, 2) != subtype) {
+    at += 12 + be(at + 8, 4);
+    if (at >= bytes.size()) throw std::logic_error("no record of the wanted subtype");
+  }
+  const std::uint32_t length = be(at + 8, 4) + 3;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + 8 + i] = static_cast<std::uint8_t>(length >> (24 - 8 * i));
+  }
+  bytes.insert(bytes.begin() + static_cast<long>(at + 12 + length - 3), {0xde, 0xad, 0xbe});
+  return bytes;
+}
+
+// Regression: PEER_INDEX_TABLE and RIB bodies with bytes left over after the
+// last entry were accepted (the route count still came out right).  Both
+// ingest paths must reject them, naming the record type and the leftovers.
+TEST(Robustness, TrailingBytesInTableDumpBodiesRejected) {
+  const std::pair<std::uint16_t, const char*> cases[] = {
+      {static_cast<std::uint16_t>(mrt::TableDumpV2Subtype::PeerIndexTable), "PEER_INDEX_TABLE"},
+      {static_cast<std::uint16_t>(mrt::TableDumpV2Subtype::RibIpv4Unicast), "RIB_IPV4_UNICAST"},
+  };
+  for (const auto& [subtype, name] : cases) {
+    const auto bytes = with_trailing_body_bytes(valid_mrt_bytes(), subtype);
+    const std::string path = ::testing::TempDir() + "/trailing_" + name + ".mrt";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      ASSERT_TRUE(out);
+      out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
+    }
+    for (const bool streaming : {true, false}) {
+      ThreadPool pool(1);
+      core::IngestOptions options;
+      options.streaming = streaming;
+      try {
+        (void)core::load_rib(path, pool, options);
+        ADD_FAILURE() << name << " with trailing bytes accepted (streaming=" << streaming << ")";
+      } catch (const DecodeError& e) {
+        const std::string reason = e.what();
+        EXPECT_NE(reason.find(name), std::string::npos) << reason;
+        EXPECT_NE(reason.find("3 left over"), std::string::npos) << reason;
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // Single-byte corruption: every outcome must be a clean parse or DecodeError.
@@ -207,7 +266,8 @@ TEST(Robustness, RibJoinOnCorruptedDumps) {
       bytes[rng.index(bytes.size())] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     }
     try {
-      const auto rib = mrt::rib_from_records(mrt::read_all(bytes));
+      ThreadPool pool(1);
+      const auto rib = mrt::rib_from_records(mrt::read_all(bytes), pool);
       (void)rib;
     } catch (const DecodeError&) {
     } catch (const InvalidArgument&) {

@@ -92,6 +92,8 @@
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sketch/cms.hpp"
+#include "obs/sketch/hll.hpp"
 #include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "rpsl/object.hpp"
@@ -315,6 +317,26 @@ void print_stage_stats(std::ostream& out) {
   t.print(out);
 }
 
+/// Distinct ASes on the AS paths of a RIB.
+std::size_t count_distinct_ases(const mrt::ObservedRib& rib) {
+  std::vector<Asn> ases;
+  for (const auto& route : rib.routes()) {
+    ases.insert(ases.end(), route.as_path.begin(), route.as_path.end());
+  }
+  std::sort(ases.begin(), ases.end());
+  return static_cast<std::size_t>(std::unique(ases.begin(), ases.end()) - ases.begin());
+}
+
+/// Distinct prefixes of a RIB, both families.
+std::size_t count_distinct_prefixes(const mrt::ObservedRib& rib) {
+  std::vector<Prefix> prefixes;
+  prefixes.reserve(rib.size());
+  for (const auto& route : rib.routes()) prefixes.push_back(route.prefix);
+  std::sort(prefixes.begin(), prefixes.end());
+  return static_cast<std::size_t>(std::unique(prefixes.begin(), prefixes.end()) -
+                                  prefixes.begin());
+}
+
 int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::size_t jobs,
                bool streaming, const std::optional<std::string>& snapshot_out, bool stats,
                const std::optional<std::string>& trace_out) {
@@ -373,20 +395,20 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
     top.print(std::cout);
   }
 
-  // Sketch telemetry fed during ingest + inference.  Only path-independent
-  // values appear here: HLL estimates, the Bloom hit/miss split (fed in
-  // record order on the sequential apply leg), and the post-merge link-vote
-  // heavy hitters — so this section honours the same byte-identity contract
-  // across --jobs and --no-stream that the rest of the report does.
+  // Dataset counts are exact: the RIB is held in full, and the census's
+  // sorted per-family link tables already hold every distinct link.
+  std::cout << "\ndataset:\n";
+  Table ds({"entity", "count"});
+  ds.row({"unique ASes", std::to_string(count_distinct_ases(rib))});
+  ds.row({"unique prefixes", std::to_string(count_distinct_prefixes(rib))});
+  ds.row({"unique AS links",
+          std::to_string(census.v4_links + census.v6_links - census.dual_links)});
+  ds.print(std::cout);
+
+  // Link-vote heavy hitters: one CMS feed per census from the post-merge,
+  // sorted tallies, so the table is identical at every --jobs and for both
+  // ingest paths.
   const auto sketch = obs::sketch::Telemetry::global().snapshot();
-  std::cout << "\nsketch telemetry (~" << sketch.memory_bytes / 1024 << " KiB resident):\n";
-  Table sk({"estimate", "value"});
-  sk.row({"unique ASes (HLL)", "~" + std::to_string(sketch.unique_ases)});
-  sk.row({"unique prefixes (HLL)", "~" + std::to_string(sketch.unique_prefixes)});
-  sk.row({"unique AS links (HLL)", "~" + std::to_string(sketch.unique_links)});
-  sk.row({"link bloom pre-filter", std::to_string(sketch.bloom_hits) + " hits / " +
-                                       std::to_string(sketch.bloom_misses) + " misses"});
-  sk.print(std::cout);
   if (!sketch.top_link_votes.empty()) {
     std::cout << "\nmost-voted links (CMS estimates):\n";
     Table votes({"link", "~votes"});
@@ -419,10 +441,27 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
 
 int cmd_inspect(const std::string& mrt_path) {
   // Streamed record-at-a-time decode: constant memory however large the dump.
-  // The sketch bundle keeps that property — fixed-size estimates instead of
-  // exact per-entity sets, which is the whole point of the telemetry layer.
+  // Fixed-size sketches keep that property — estimates instead of exact
+  // per-entity sets, since nothing here holds the RIB.
   mrt::MrtStreamReader stream(mrt_path);
-  obs::sketch::IngestBundle sketches;
+  obs::sketch::Hll ases{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
+  obs::sketch::Hll prefixes{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
+  obs::sketch::Hll links{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
+  obs::sketch::Cms origins{obs::sketch::Cms::kDefaultWidthLog2, obs::sketch::Cms::kDefaultDepth,
+                           obs::sketch::Cms::kDefaultTopK, obs::sketch::kTelemetrySeed};
+  // One route: its prefix, every AS on the path (prepends collapsed), every
+  // adjacent link, and its origin AS (last hop) as one more route for it.
+  const auto add_route = [&](const Prefix& prefix, const std::vector<Asn>& as_path) {
+    prefixes.add(obs::sketch::prefix_item(prefix));
+    const Asn* prev = nullptr;
+    for (const Asn& asn : as_path) {
+      if (prev != nullptr && asn == *prev) continue;
+      ases.add(obs::sketch::as_item(asn));
+      if (prev != nullptr) links.add(obs::sketch::link_item(*prev, asn));
+      prev = &asn;
+    }
+    if (prev != nullptr) origins.update(obs::sketch::as_item(*prev));
+  };
   std::size_t pit = 0;
   std::size_t rib4 = 0;
   std::size_t rib6 = 0;
@@ -438,7 +477,7 @@ int cmd_inspect(const std::string& mrt_path) {
       (r->prefix.version() == IpVersion::V4 ? rib4 : rib6) += 1;
       entries += r->entries.size();
       for (const auto& entry : r->entries) {
-        sketches.add_route(r->prefix, entry.attrs.as_path.flatten());
+        add_route(r->prefix, entry.attrs.as_path.flatten());
       }
     } else if (std::holds_alternative<mrt::Bgp4mpMessage>(record.body)) {
       ++bgp4mp;
@@ -454,13 +493,13 @@ int cmd_inspect(const std::string& mrt_path) {
             << "  BGP4MP:           " << bgp4mp << "\n"
             << "  other/raw:        " << raw << "\n"
             << "  RIB entries:      " << entries << "\n"
-            << "  unique ASes:      ~" << sketches.ases.estimate_count() << "\n"
-            << "  unique prefixes:  ~" << sketches.prefixes.estimate_count() << "\n"
-            << "  unique AS links:  ~" << sketches.links.estimate_count() << "\n";
-  const auto top = sketches.origins.top();
+            << "  unique ASes:      ~" << ases.estimate_count() << "\n"
+            << "  unique prefixes:  ~" << prefixes.estimate_count() << "\n"
+            << "  unique AS links:  ~" << links.estimate_count() << "\n";
+  const auto top = origins.top();
   if (!top.empty()) {
     std::cout << "\ntop origin ASes by RIB routes (CMS estimates over "
-              << sketches.origins.total_weight() << " routes):\n";
+              << origins.total_weight() << " routes):\n";
     Table t({"origin", "~routes"});
     for (std::size_t i = 0; i < top.size() && i < 10; ++i) {
       t.row({"AS" + std::to_string(top[i].item), std::to_string(top[i].estimate)});

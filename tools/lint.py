@@ -44,12 +44,11 @@ enforces them over ``src/`` and ``tools/``:
                     documents itself with an allow comment.
   raw-hash          a well-known hash constant (the splitmix64 increment or
                     multipliers, the FNV-1a offset basis / prime in hex or
-                    decimal) outside obs/sketch/hash.hpp.  Hand-rolled hash
+                    decimal) outside util/hash.hpp.  Hand-rolled hash
                     functions silently fork the mixing the mergeable
                     sketches depend on — two sketches built with different
                     mixes merge without error and report garbage.  Hash an
-                    item through obs::sketch's splitmix64/hash64 (or the
-                    util/hash re-export) instead.
+                    item through util/hash's splitmix64/hash64 instead.
   pragma-once       every header starts its include guard with
                     ``#pragma once``.
   namespace         every file under src/ opens a ``namespace htor`` (or a
@@ -95,10 +94,10 @@ MMAP_HOME = re.compile(r"(^|/)src/(util/mmap_file|snapshot/layout[^/]*)\.(hpp|cp
 # not live in the registry, and the ring's occupancy is scraped through the
 # live pipeline's htor_live_ring_depth callback gauges instead.
 OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool|util/spsc_ring)\.(hpp|cpp)$")
-# The one home for the well-known hash constants: the sketch layer's mixing
-# primitives.  Everything else takes splitmix64/hash64 from here (or the
-# util/hash re-export) so every sketch in the process mixes identically.
-HASH_HOME = re.compile(r"(^|/)src/obs/sketch/hash\.(hpp|cpp)$")
+# The one home for the well-known hash constants: util/hash's mixing
+# primitives.  Everything else takes splitmix64/hash64 from there so every
+# sketch in the process mixes identically.
+HASH_HOME = re.compile(r"(^|/)src/util/hash\.(hpp|cpp)$")
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)\s*(.*)$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
@@ -209,8 +208,8 @@ LINE_RULES = [
             r"(?<![0-9a-z])1099511628211(?![0-9])",
             re.IGNORECASE,
         ),
-        "hand-rolled hash constant outside obs/sketch/hash.hpp; use "
-        "obs::sketch splitmix64/hash64 so every sketch mixes identically, "
+        "hand-rolled hash constant outside util/hash.hpp; use "
+        "util/hash splitmix64/hash64 so every sketch mixes identically, "
         "or justify with an allow comment",
         _not_hash_home,
     ),
@@ -359,7 +358,7 @@ SELF_TEST_CASES = [
         {"adhoc-atomic-counter"},
     ),
     (
-        "hand-rolled hash outside the sketch home",
+        "hand-rolled hash outside the hash home",
         "src/core/bad_hash.cpp",
         "namespace htor {\n"
         "std::uint64_t mix(std::uint64_t x) {\n"
@@ -443,14 +442,14 @@ SELF_TEST_CASES = [
         set(),
     ),
     (
-        "the sketch hash module is the one home for the constants",
-        "src/obs/sketch/hash.hpp",
-        "#pragma once\nnamespace htor::obs::sketch {\n"
+        "the util hash module is the one home for the constants",
+        "src/util/hash.hpp",
+        "#pragma once\nnamespace htor {\n"
         "inline std::uint64_t splitmix64(std::uint64_t x) {\n"
         "  x += 0x9e3779b97f4a7c15ull;\n"
         "  return x * 0xbf58476d1ce4e5b9ull;\n"
         "}\n"
-        "}  // namespace htor::obs::sketch\n",
+        "}  // namespace htor\n",
         set(),
     ),
     (
