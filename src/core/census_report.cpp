@@ -14,15 +14,31 @@ CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictio
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool) {
   OBS_SPAN("census");
-  CensusReport report;
+  return census_back(census_front(rib, dict, config, pool), dict, config, pool);
+}
 
+CensusFront census_front(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
+                         const InferenceConfig& config, ThreadPool& pool) {
+  CensusFront front;
   {
     OBS_SPAN("census.paths");
-    report.v4_path_store = paths_of(rib, IpVersion::V4, pool);
-    report.v6_path_store = paths_of(rib, IpVersion::V6, pool);
-    report.v4_paths = report.v4_path_store.unique_paths();
-    report.v6_paths = report.v6_path_store.unique_paths();
+    front.v4_paths = paths_of(rib, IpVersion::V4, pool);
+    front.v6_paths = paths_of(rib, IpVersion::V6, pool);
   }
+  front.v4_routes = rib.routes_of(IpVersion::V4);
+  front.v6_routes = rib.routes_of(IpVersion::V6);
+  front.community =
+      infer_communities(front.v4_routes, front.v6_routes, dict, config.community, pool);
+  return front;
+}
+
+CensusReport census_back(CensusFront front, const rpsl::CommunityDictionary& dict,
+                         const InferenceConfig& config, ThreadPool& pool) {
+  CensusReport report;
+  report.v4_path_store = std::move(front.v4_paths);
+  report.v6_path_store = std::move(front.v6_paths);
+  report.v4_paths = report.v4_path_store.unique_paths();
+  report.v6_paths = report.v6_path_store.unique_paths();
   const std::vector<LinkKey>& v4_links = report.v4_path_store.links();
   const std::vector<LinkKey>& v6_links = report.v6_path_store.links();
   std::vector<LinkKey> duals;
@@ -34,10 +50,8 @@ CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictio
   report.v6_links = v6_links.size();
   report.dual_links = duals.size();
 
-  {
-    OBS_SPAN("census.infer");
-    report.inferred = infer_relationships(rib, dict, config, pool);
-  }
+  report.inferred = finish_inference(std::move(front.community), front.v4_routes,
+                                     front.v6_routes, dict, config, pool);
   {
     OBS_SPAN("census.coverage");
     report.v4_coverage = coverage(v4_links, report.inferred.v4);

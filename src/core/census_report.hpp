@@ -38,11 +38,37 @@ struct CensusReport {
   PathStore v6_path_store;
 };
 
+/// The front half of the census: what the back half reads.  The batch builds
+/// it from an ObservedRib (census_front); a live epoch builds it from
+/// live::IncrementalCensus's maintained state.  For the same route set both
+/// must yield the same values.
+struct CensusFront {
+  PathStore v4_paths;
+  PathStore v6_paths;
+  CommunityInference community;
+  /// The routes Rosetta reads, per family, in canonical RIB order.  They
+  /// point into the caller's RIB, which must outlive census_back().  Nothing
+  /// reads them when config.use_rosetta is off, so they may be empty then.
+  std::vector<const mrt::ObservedRoute*> v4_routes;
+  std::vector<const mrt::ObservedRoute*> v6_routes;
+};
+
+/// The batch front half: the sharded path stores (census.paths) and the
+/// sharded community scan plus tally (census.infer.community) of `rib`.
+CensusFront census_front(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
+                         const InferenceConfig& config, ThreadPool& pool);
+
+/// The back half, the one implementation of duals → coverage → Rosetta →
+/// hybrids → valleys, on `pool`.  Opens no "census" span: the caller wraps
+/// front and back in one.
+CensusReport census_back(CensusFront front, const rpsl::CommunityDictionary& dict,
+                         const InferenceConfig& config, ThreadPool& pool);
+
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config = {});
 
 /// Same census on the caller's pool (config.threads is ignored; the pool's
-/// size decides the parallelism).
+/// size decides the parallelism): census_front, then census_back.
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool);
 

@@ -100,6 +100,32 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
   return out;
 }
 
+LinkTally tally_link(const std::array<std::uint32_t, 4>& votes,
+                     const CommunityInferenceParams& params) {
+  LinkTally out;
+  std::uint64_t total = 0;
+  std::size_t best = 0;
+  std::size_t with_max = 0;  // how many relationships share the top count
+  for (std::size_t i = 0; i < 4; ++i) {
+    total += votes[i];
+    if (votes[i] > votes[best]) best = i;
+  }
+  if (total == 0) return out;
+  out.any_votes = true;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (votes[i] == votes[best]) ++with_max;
+  }
+  // A tie for the top count (e.g. 1×P2C vs 1×P2P) is a contradiction, not
+  // a winner — resolving it by enum order would silently prefer P2C.
+  if (with_max > 1 || votes[best] < params.min_votes ||
+      static_cast<double>(votes[best]) < params.majority * static_cast<double>(total)) {
+    out.conflicted = true;
+    return out;
+  }
+  out.rel = rel_from_index(best);
+  return out;
+}
+
 CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,
                                                const CommunityInferenceParams& params) {
   CommunityInferenceResult result;
@@ -107,24 +133,12 @@ CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,
   result.total_votes = votes.total_votes;
   result.links_with_votes = votes.votes.size();
   for (const auto& [key, vote] : votes.votes) {
-    std::uint64_t total = 0;
-    std::size_t best = 0;
-    std::size_t with_max = 0;  // how many relationships share the top count
-    for (std::size_t i = 0; i < 4; ++i) {
-      total += vote[i];
-      if (vote[i] > vote[best]) best = i;
-    }
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (vote[i] == vote[best]) ++with_max;
-    }
-    // A tie for the top count (e.g. 1×P2C vs 1×P2P) is a contradiction, not
-    // a winner — resolving it by enum order would silently prefer P2C.
-    if (with_max > 1 || vote[best] < params.min_votes ||
-        static_cast<double>(vote[best]) < params.majority * static_cast<double>(total)) {
+    const LinkTally tally = tally_link(vote, params);
+    if (tally.conflicted) {
       ++result.conflicted_links;
-      continue;
+    } else if (tally.rel != Relationship::Unknown) {
+      result.rels.set(key.first, key.second, tally.rel);
     }
-    result.rels.set(key.first, key.second, rel_from_index(best));
   }
   return result;
 }

@@ -54,6 +54,21 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
                                     std::size_t begin, std::size_t end,
                                     const rpsl::CommunityDictionary& dict);
 
+/// What the tally rule makes of one link's votes.
+struct LinkTally {
+  Relationship rel = Relationship::Unknown;  ///< the winner; Unknown if none
+  bool conflicted = false;  ///< votes present but no clear majority
+  bool any_votes = false;
+};
+
+/// The tally rule for one link's vote histogram (P2C/C2P/P2P/S2S slots):
+/// the top relationship wins when it is unique, has at least
+/// `params.min_votes` votes and holds at least `params.majority` of the
+/// link's votes; anything else with votes is conflicted.  The batch tally
+/// and the live tier both type links through this one function.
+LinkTally tally_link(const std::array<std::uint32_t, 4>& votes,
+                     const CommunityInferenceParams& params);
+
 /// Majority-type every voted link.  Depends only on the merged vote totals,
 /// so the sharding that produced them cannot change the outcome.
 CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,

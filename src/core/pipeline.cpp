@@ -49,14 +49,24 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool) {
-  InferredRelationships out;
   const auto v4_routes = rib.routes_of(IpVersion::V4);
   const auto v6_routes = rib.routes_of(IpVersion::V6);
+  return finish_inference(infer_communities(v4_routes, v6_routes, dict, config.community, pool),
+                          v4_routes, v6_routes, dict, config, pool);
+}
 
-  // Phase 1: the per-route community scans of BOTH families are submitted
-  // before either is collected, so their shards interleave on the pool.
-  // Shard count is fixed (kCensusShards) and merges run in shard order, so
-  // any --jobs value reproduces the same vote state bit for bit.
+void add_link_votes(LinkVoteFeed& feed, const LinkKey& key,
+                    const std::array<std::uint32_t, 4>& votes) {
+  std::uint64_t total = 0;
+  for (const std::uint32_t n : votes) total += n;
+  if (total > 0) feed.emplace_back(obs::sketch::link_item(key.first, key.second), total);
+}
+
+CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*>& v4_routes,
+                                     const std::vector<const mrt::ObservedRoute*>& v6_routes,
+                                     const rpsl::CommunityDictionary& dict,
+                                     const CommunityInferenceParams& params, ThreadPool& pool) {
+  OBS_SPAN("census.infer.community");
   auto submit_scans = [&pool, &dict](const std::vector<const mrt::ObservedRoute*>& routes) {
     std::vector<std::future<CommunityVotes>> futures;
     for (const ShardRange& range : shard_ranges(routes.size())) {
@@ -67,71 +77,68 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
     return futures;
   };
   std::exception_ptr first_error;
-  {
-    OBS_SPAN("census.infer.community");
-    auto v4_futures = submit_scans(v4_routes);
-    auto v6_futures = submit_scans(v6_routes);
+  auto v4_futures = submit_scans(v4_routes);
+  auto v6_futures = submit_scans(v6_routes);
+  const CommunityVotes v4_votes = collect_votes(v4_futures, first_error);
+  const CommunityVotes v6_votes = collect_votes(v6_futures, first_error);
+  if (first_error) std::rethrow_exception(first_error);
 
-    const CommunityVotes v4_votes = collect_votes(v4_futures, first_error);
-    const CommunityVotes v6_votes = collect_votes(v6_futures, first_error);
-    if (first_error) std::rethrow_exception(first_error);
-
-    // Most-voted-links telemetry: one CMS feed from the POST-merge tallies,
-    // sorted by packed link so the heavy-hitter candidate set never depends
-    // on unordered_map iteration order (or on the ingest path taken).
-    {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> link_votes;
-      link_votes.reserve(v4_votes.votes.size() + v6_votes.votes.size());
-      for (const CommunityVotes* family : {&v4_votes, &v6_votes}) {
-        for (const auto& [key, tallies] : family->votes) {
-          std::uint64_t total = 0;
-          for (const std::uint32_t n : tallies) total += n;
-          if (total > 0) {
-            link_votes.emplace_back(obs::sketch::link_item(key.first, key.second), total);
-          }
-        }
-      }
-      std::sort(link_votes.begin(), link_votes.end());
-      obs::sketch::Telemetry::global().feed_link_votes(link_votes);
-    }
-
-    out.community_v4 = tally_community_votes(v4_votes, config.community);
-    out.community_v6 = tally_community_votes(v6_votes, config.community);
-    out.v4 = out.community_v4.rels;
-    out.v6 = out.community_v6.rels;
+  CommunityInference out;
+  out.link_votes.reserve(v4_votes.votes.size() + v6_votes.votes.size());
+  for (const CommunityVotes* family : {&v4_votes, &v6_votes}) {
+    for (const auto& [key, tallies] : family->votes) add_link_votes(out.link_votes, key, tallies);
   }
+  // Sorted, so the heavy-hitter candidate set never depends on
+  // unordered_map iteration order (or on the ingest path taken).
+  std::sort(out.link_votes.begin(), out.link_votes.end());
+  out.v4 = tally_community_votes(v4_votes, params);
+  out.v6 = tally_community_votes(v6_votes, params);
+  return out;
+}
 
-  // Phase 2: one Rosetta pass per family, two independent pool tasks (each
-  // reads only its own family's routes and community map).
-  if (config.use_rosetta) {
-    OBS_SPAN("census.infer.rosetta");
-    auto v4_rosetta = pool.submit(
-        [&] { return run_rosetta(v4_routes, dict, out.v4, config.rosetta); });
-    auto v6_rosetta = pool.submit(
-        [&] { return run_rosetta(v6_routes, dict, out.v6, config.rosetta); });
-    try {
-      out.rosetta_v4 = v4_rosetta.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-    try {
-      out.rosetta_v6 = v6_rosetta.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-    if (first_error) std::rethrow_exception(first_error);
+InferredRelationships finish_inference(CommunityInference community,
+                                       const std::vector<const mrt::ObservedRoute*>& v4_routes,
+                                       const std::vector<const mrt::ObservedRoute*>& v6_routes,
+                                       const rpsl::CommunityDictionary& dict,
+                                       const InferenceConfig& config, ThreadPool& pool) {
+  obs::sketch::Telemetry::global().feed_link_votes(community.link_votes);
+  InferredRelationships out;
+  out.community_v4 = std::move(community.v4);
+  out.community_v6 = std::move(community.v6);
+  out.v4 = out.community_v4.rels;
+  out.v6 = out.community_v6.rels;
+  if (!config.use_rosetta) return out;
 
-    // Deterministic merge: Rosetta fills only links communities left
-    // Unknown, applied v4 first, then v6.
-    for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-      auto& rels = af == IpVersion::V4 ? out.v4 : out.v6;
-      const auto& rosetta = af == IpVersion::V4 ? out.rosetta_v4 : out.rosetta_v6;
-      rosetta.first_hop_rels.for_each([&rels](const LinkKey& key, Relationship rel) {
-        if (rels.get(key.first, key.second) == Relationship::Unknown) {
-          rels.set(key.first, key.second, rel);
-        }
-      });
-    }
+  // Two independent pool tasks: each reads only its own family's routes and
+  // community map.
+  OBS_SPAN("census.infer.rosetta");
+  auto v4_rosetta =
+      pool.submit([&] { return run_rosetta(v4_routes, dict, out.v4, config.rosetta); });
+  auto v6_rosetta =
+      pool.submit([&] { return run_rosetta(v6_routes, dict, out.v6, config.rosetta); });
+  std::exception_ptr first_error;
+  try {
+    out.rosetta_v4 = v4_rosetta.get();
+  } catch (...) {
+    first_error = std::current_exception();
+  }
+  try {
+    out.rosetta_v6 = v6_rosetta.get();
+  } catch (...) {
+    if (!first_error) first_error = std::current_exception();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+
+  // Deterministic merge: Rosetta fills only links communities left
+  // Unknown, applied v4 first, then v6.
+  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    auto& rels = af == IpVersion::V4 ? out.v4 : out.v6;
+    const auto& rosetta = af == IpVersion::V4 ? out.rosetta_v4 : out.rosetta_v6;
+    rosetta.first_hop_rels.for_each([&rels](const LinkKey& key, Relationship rel) {
+      if (rels.get(key.first, key.second) == Relationship::Unknown) {
+        rels.set(key.first, key.second, rel);
+      }
+    });
   }
   return out;
 }

@@ -2,6 +2,11 @@
 // LocPrf Rosetta, per address family.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/community_inference.hpp"
 #include "core/rosetta.hpp"
 #include "mrt/rib_view.hpp"
@@ -59,15 +64,49 @@ struct InferredRelationships {
   RosettaResult rosetta_v6;
 };
 
+/// (obs::sketch::link_item, total votes) of every voted link, both families
+/// together, sorted: the one most-voted-links telemetry feed per census.
+using LinkVoteFeed = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Append `key`'s total to a link-vote feed when it has any votes.
+void add_link_votes(LinkVoteFeed& feed, const LinkKey& key,
+                    const std::array<std::uint32_t, 4>& votes);
+
+/// The community half of the inference: both families tallied, plus the
+/// link-vote feed built from the same tallies.
+struct CommunityInference {
+  CommunityInferenceResult v4;
+  CommunityInferenceResult v6;
+  LinkVoteFeed link_votes;
+};
+
+/// Community inference over each family's routes.  The per-route scans of
+/// both families are submitted before either is collected, so their shards
+/// interleave on the pool; shard count and merge order are fixed, so any
+/// pool size gives the same result.
+CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*>& v4_routes,
+                                     const std::vector<const mrt::ObservedRoute*>& v6_routes,
+                                     const rpsl::CommunityDictionary& dict,
+                                     const CommunityInferenceParams& params, ThreadPool& pool);
+
+/// The rest of the inference once communities are tallied: feed the
+/// link-vote telemetry, then (with config.use_rosetta) run one Rosetta pass
+/// per family as two pool tasks over the same routes, and let it type only
+/// the links communities left Unknown, v4 first, then v6.
+InferredRelationships finish_inference(CommunityInference community,
+                                       const std::vector<const mrt::ObservedRoute*>& v4_routes,
+                                       const std::vector<const mrt::ObservedRoute*>& v6_routes,
+                                       const rpsl::CommunityDictionary& dict,
+                                       const InferenceConfig& config, ThreadPool& pool);
+
 /// Run the full inference over a collector RIB.  Creates its own pool from
 /// `config.threads`.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config = {});
 
-/// Same, sharing the caller's pool (the per-route community scans of both
-/// address families are in flight together, then the two Rosetta passes run
-/// as one pool task per family).
+/// Same, sharing the caller's pool: infer_communities, then
+/// finish_inference.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);

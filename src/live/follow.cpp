@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/trace.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/query.hpp"
 #include "util/error.hpp"
@@ -68,8 +69,11 @@ void FollowService::run_pipeline() {
     PipelineResult result = pipeline_.run(update_paths_, census_pool_, [this](const EpochReport& epoch) {
       // Build the index outside any daemon lock, then swap: the publish
       // cost the daemon's readers see is one pointer assignment.
-      snapshot::QueryIndex index(epoch.snap);
-      daemon_.swap_index(std::move(index));
+      {
+        OBS_SPAN("live.publish");
+        snapshot::QueryIndex index(epoch.snap);
+        daemon_.swap_index(std::move(index));
+      }
       std::lock_guard<std::mutex> lock(mutex_);
       ++epochs_published_;
       last_publish_ = std::chrono::steady_clock::now();

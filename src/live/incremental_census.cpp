@@ -6,70 +6,10 @@
 #include "core/community_inference.hpp"
 #include "core/snapshot_bridge.hpp"
 #include "obs/sketch/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "topology/valley.hpp"
 
 namespace htor::live {
-
-namespace {
-
-// Mirrors the P2C/C2P/P2P/S2S vote-slot order of core/community_inference.cpp
-// — the live tally must agree with tally_community_votes bit for bit.
-Relationship rel_from_index(std::size_t i) {
-  switch (i) {
-    case 0: return Relationship::P2C;
-    case 1: return Relationship::C2P;
-    case 2: return Relationship::P2P;
-    case 3: return Relationship::S2S;
-    default: return Relationship::Unknown;
-  }
-}
-
-/// Distinct canonical links of one path, adjacent prepends skipped —
-/// the same link set PathStore::links() derives from the path.
-std::vector<LinkKey> path_links(const std::vector<Asn>& path) {
-  std::vector<LinkKey> out;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (path[i] == path[i + 1]) continue;
-    LinkKey key(path[i], path[i + 1]);
-    if (std::find(out.begin(), out.end(), key) == out.end()) out.push_back(key);
-  }
-  return out;
-}
-
-/// The batch tally rule for one vote histogram: majority winner, with ties
-/// and sub-threshold counts landing in "conflicted".  Must match
-/// core::tally_community_votes exactly.
-struct TallyOutcome {
-  Relationship rel = Relationship::Unknown;
-  bool conflicted = false;
-  bool any_votes = false;
-};
-
-TallyOutcome tally(const std::array<std::uint32_t, 4>& vote,
-                   const core::CommunityInferenceParams& params) {
-  TallyOutcome out;
-  std::uint64_t total = 0;
-  std::size_t best = 0;
-  std::size_t with_max = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    total += vote[i];
-    if (vote[i] > vote[best]) best = i;
-  }
-  if (total == 0) return out;
-  out.any_votes = true;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (vote[i] == vote[best]) ++with_max;
-  }
-  if (with_max > 1 || vote[best] < params.min_votes ||
-      static_cast<double>(vote[best]) < params.majority * static_cast<double>(total)) {
-    out.conflicted = true;
-    return out;
-  }
-  out.rel = rel_from_index(best);
-  return out;
-}
-
-}  // namespace
 
 bool IncrementalCensus::LinkState::has_votes() const {
   for (std::uint32_t v : votes_v4) {
@@ -85,6 +25,21 @@ bool IncrementalCensus::LinkState::dead() const {
   return paths_v4 == 0 && paths_v6 == 0 && !has_votes();
 }
 
+std::uint32_t& IncrementalCensus::FamilyPaths::overlay_count(const std::vector<Asn>& path) {
+  auto [it, inserted] = overlay.try_emplace(path, 0);
+  if (inserted) it->second = base.count_of(path);
+  return it->second;
+}
+
+void IncrementalCensus::FamilyPaths::fold() {
+  if (overlay.empty()) return;
+  std::vector<PathChange> changes;
+  changes.reserve(overlay.size());
+  for (const auto& [path, count] : overlay) changes.push_back(PathChange{path, count});
+  base = PathStore::merged(base, changes);
+  overlay.clear();
+}
+
 IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
                                      rpsl::CommunityDictionary dict,
                                      core::InferenceConfig config, std::string source,
@@ -97,7 +52,30 @@ IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
   // Fold the *table* (post last-wins dedup), not the input vector: the live
   // tier must describe what the RIB holds, and seed() may have collapsed
   // duplicate (family, prefix, peer) rows.
-  rib_.for_each([this](const mrt::ObservedRoute& route) { add_route(route); });
+  {
+    std::vector<std::span<const Asn>> v4;
+    std::vector<std::span<const Asn>> v6;
+    rib_.for_each([&](const mrt::ObservedRoute& route) {
+      (route.af == IpVersion::V4 ? v4 : v6).emplace_back(route.as_path);
+    });
+    ThreadPool pool(config_.threads);
+    paths_v4_.base = PathStore(v4, pool);
+    paths_v6_.base = PathStore(v6, pool);
+  }
+  for (const bool v4 : {true, false}) {
+    const PathStore& store = (v4 ? paths_v4_ : paths_v6_).base;
+    (v4 ? stats_.v4_paths : stats_.v6_paths) = store.unique_paths();
+    (v4 ? stats_.v4_links : stats_.v6_links) = store.links().size();
+    for (std::size_t i = 0; i < store.links().size(); ++i) {
+      LinkState& state = links_[store.links()[i]];
+      (v4 ? state.paths_v4 : state.paths_v6) = store.link_path_counts()[i];
+      if (state.paths_v4 > 0 && state.paths_v6 > 0) stats_.dual_links++;
+    }
+  }
+  rib_.for_each([this](const mrt::ObservedRoute& route) {
+    if (route.as_path.size() >= 2) classify_route(route);
+    apply_votes(route, +1);
+  });
   stats_.routes = rib_.size();
 }
 
@@ -130,18 +108,9 @@ void IncrementalCensus::apply(std::uint32_t timestamp, const mrt::Bgp4mpMessage&
 void IncrementalCensus::add_route(const mrt::ObservedRoute& route) {
   const bool v4 = route.af == IpVersion::V4;
   if (route.as_path.size() >= 2) {  // PathStore ignores shorter paths
-    auto& paths = v4 ? paths_v4_ : paths_v6_;
-    if (++paths[route.as_path] == 1) {
+    if ((v4 ? paths_v4_ : paths_v6_).overlay_count(route.as_path)++ == 0) {
       (v4 ? stats_.v4_paths : stats_.v6_paths)++;
-      for (const LinkKey& key : path_links(route.as_path)) {
-        LinkState& state = links_[key];
-        std::uint64_t& refs = v4 ? state.paths_v4 : state.paths_v6;
-        if (++refs == 1) {
-          (v4 ? stats_.v4_links : stats_.v6_links)++;
-          if ((v4 ? state.paths_v6 : state.paths_v4) > 0) stats_.dual_links++;
-        }
-        update_derived(key, state);
-      }
+      count_path_links(route.as_path, v4, +1);
     }
     classify_route(route);
   }
@@ -151,26 +120,38 @@ void IncrementalCensus::add_route(const mrt::ObservedRoute& route) {
 void IncrementalCensus::remove_route(const mrt::ObservedRoute& route) {
   const bool v4 = route.af == IpVersion::V4;
   if (route.as_path.size() >= 2) {
-    auto& paths = v4 ? paths_v4_ : paths_v6_;
-    auto it = paths.find(route.as_path);
-    if (it != paths.end() && --it->second == 0) {
-      paths.erase(it);
+    std::uint32_t& count = (v4 ? paths_v4_ : paths_v6_).overlay_count(route.as_path);
+    if (count > 0 && --count == 0) {
       (v4 ? stats_.v4_paths : stats_.v6_paths)--;
-      for (const LinkKey& key : path_links(route.as_path)) {
-        auto link_it = links_.find(key);
-        if (link_it == links_.end()) continue;
-        LinkState& state = link_it->second;
-        std::uint64_t& refs = v4 ? state.paths_v4 : state.paths_v6;
-        if (refs > 0 && --refs == 0) {
-          (v4 ? stats_.v4_links : stats_.v6_links)--;
-          if ((v4 ? state.paths_v6 : state.paths_v4) > 0) stats_.dual_links--;
-        }
-        update_derived(key, state);
-        if (state.dead()) links_.erase(link_it);
-      }
+      count_path_links(route.as_path, v4, -1);
     }
   }
   apply_votes(route, -1);
+}
+
+void IncrementalCensus::count_path_links(const std::vector<Asn>& path, bool v4, int sign) {
+  path_links(path, scratch_links_);
+  for (const LinkKey& key : scratch_links_) {
+    if (sign > 0) {
+      LinkState& state = links_[key];
+      if ((v4 ? state.paths_v4 : state.paths_v6)++ == 0) {
+        (v4 ? stats_.v4_links : stats_.v6_links)++;
+        if ((v4 ? state.paths_v6 : state.paths_v4) > 0) stats_.dual_links++;
+      }
+      update_derived(key, state);
+      continue;
+    }
+    auto it = links_.find(key);
+    if (it == links_.end()) continue;
+    LinkState& state = it->second;
+    std::uint64_t& refs = v4 ? state.paths_v4 : state.paths_v6;
+    if (refs > 0 && --refs == 0) {
+      (v4 ? stats_.v4_links : stats_.v6_links)--;
+      if ((v4 ? state.paths_v6 : state.paths_v4) > 0) stats_.dual_links--;
+    }
+    update_derived(key, state);
+    if (state.dead()) links_.erase(it);
+  }
 }
 
 void IncrementalCensus::apply_votes(const mrt::ObservedRoute& route, int sign) {
@@ -181,10 +162,15 @@ void IncrementalCensus::apply_votes(const mrt::ObservedRoute& route, int sign) {
   // withdraw time is exactly the one added at announce time — retraction is
   // exact, never approximate.
   const bool v4 = route.af == IpVersion::V4;
+  FamilyVotes& family = v4 ? votes_v4_ : votes_v6_;
   if (sign > 0) {
     stats_.total_votes += votes.total_votes;
+    family.total_votes += votes.total_votes;
+    family.tagged_routes += votes.tagged_routes;
   } else {
     stats_.total_votes -= votes.total_votes;
+    family.total_votes -= votes.total_votes;
+    family.tagged_routes -= votes.tagged_routes;
   }
   for (const auto& [key, vote] : votes.votes) {
     LinkState& state = links_[key];
@@ -204,8 +190,8 @@ void IncrementalCensus::apply_votes(const mrt::ObservedRoute& route, int sign) {
 
 void IncrementalCensus::retally(const LinkKey& key, LinkState& state) {
   const auto& params = config_.community;
-  const TallyOutcome v4 = tally(state.votes_v4, params);
-  const TallyOutcome v6 = tally(state.votes_v6, params);
+  const core::LinkTally v4 = core::tally_link(state.votes_v4, params);
+  const core::LinkTally v6 = core::tally_link(state.votes_v6, params);
 
   // Diff old state -> new outcome, keeping every aggregate exact.
   const bool had_votes_v4 = state.rel_v4 != Relationship::Unknown || state.conflicted_v4;
@@ -264,12 +250,56 @@ void IncrementalCensus::classify_route(const mrt::ObservedRoute& route) {
   }
 }
 
-EpochReport IncrementalCensus::recompute(ThreadPool& pool) const {
+core::CommunityInference IncrementalCensus::maintained_inference() const {
+  core::CommunityInference out;
+  out.v4.rels = rels_v4_;
+  out.v4.links_with_votes = stats_.links_with_votes_v4;
+  out.v4.conflicted_links = stats_.conflicted_links_v4;
+  out.v4.tagged_routes = votes_v4_.tagged_routes;
+  out.v4.total_votes = votes_v4_.total_votes;
+  out.v6.rels = rels_v6_;
+  out.v6.links_with_votes = stats_.links_with_votes_v6;
+  out.v6.conflicted_links = stats_.conflicted_links_v6;
+  out.v6.tagged_routes = votes_v6_.tagged_routes;
+  out.v6.total_votes = votes_v6_.total_votes;
+  // The link-vote feed exactly as core::infer_communities builds it: every
+  // (link, total) pair of both families, sorted together.
+  for (const auto& [key, state] : links_) {
+    core::add_link_votes(out.link_votes, key, state.votes_v4);
+    core::add_link_votes(out.link_votes, key, state.votes_v6);
+  }
+  std::sort(out.link_votes.begin(), out.link_votes.end());
+  return out;
+}
+
+EpochReport IncrementalCensus::recompute(ThreadPool& pool) {
   EpochReport epoch;
-  epoch.report = core::run_census(rib_.materialize(), dict_, config_, pool);
   epoch.applied = applied_;
   epoch.last_timestamp = applied_ == 0 ? seed_timestamp_ : last_timestamp_;
-  epoch.snap = core::to_snapshot(epoch.report, source_, epoch.last_timestamp);
+  {
+    OBS_SPAN("census");
+    core::CensusFront front;
+    {
+      OBS_SPAN("census.paths");
+      paths_v4_.fold();
+      paths_v6_.fold();
+      front.v4_paths = paths_v4_.base;
+      front.v6_paths = paths_v6_.base;
+    }
+    {
+      OBS_SPAN("census.infer.community");
+      front.community = maintained_inference();
+    }
+    if (config_.use_rosetta) {
+      front.v4_routes = rib_.routes_of(IpVersion::V4);
+      front.v6_routes = rib_.routes_of(IpVersion::V6);
+    }
+    epoch.report = core::census_back(std::move(front), dict_, config_, pool);
+  }
+  {
+    OBS_SPAN("live.epoch.snapshot");
+    epoch.snap = core::to_snapshot(epoch.report, source_, epoch.last_timestamp);
+  }
   const ChurnEstimates churn = epoch_churn();
   epoch.churn_ases = churn.ases;
   epoch.churn_prefixes = churn.prefixes;

@@ -16,15 +16,22 @@
 //     relationship map at apply time and are monotonic telemetry, not the
 //     paper's census.
 //
-//   * EPOCH TIER — recompute() materializes the RIB (canonical key order)
-//     and runs core::run_census on it, full config.  This is byte-identical
-//     to the batch pipeline on the same route set BY CONSTRUCTION — the
-//     equivalence oracle the whole live subsystem hangs from — and is what
-//     serve --follow publishes as a snapshot.
+//   * EPOCH TIER — recompute() runs the census's shared back half
+//     (core::census_back: duals, coverage, Rosetta, hybrids, valleys) on a
+//     front half read from the maintained state, with no materialized RIB
+//     and no rescan.  Each family's distinct paths are a PathStore as of the
+//     last cut plus a sorted overlay of the paths whose count changed since;
+//     the cut folds the overlay in with PathStore::merged.  The community
+//     inference is the live vote tallies and relationship maps, and
+//     Rosetta reads the table's routes in place, in the order materialize()
+//     would emit them.  The result is byte-identical to core::run_census
+//     over rib().materialize() — the live≡batch oracle test_live and
+//     fuzz_updates hold — and is what serve --follow publishes.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,25 +42,11 @@
 #include "obs/sketch/hll.hpp"
 #include "rpsl/community_dict.hpp"
 #include "snapshot/snapshot.hpp"
+#include "topology/path_store.hpp"
 #include "topology/relationship.hpp"
 #include "util/thread_pool.hpp"
 
 namespace htor::live {
-
-/// FNV-1a unordered_map functor for the retractable path maps below.
-/// Process-local only — never feeds a mergeable sketch (those hash through
-/// util/hash.hpp).
-struct AsnVectorHash {
-  std::size_t operator()(const std::vector<Asn>& v) const {
-    // lint: allow(raw-hash) unordered_map functor, not sketch input
-    std::uint64_t h = 1469598103934665603ull;
-    for (Asn a : v) {
-      h ^= a;
-      h *= 1099511628211ull;  // lint: allow(raw-hash) FNV prime of the same functor
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Live-tier counters, cheap to read at any point in the stream.
 struct LiveStats {
@@ -77,6 +70,8 @@ struct LiveStats {
   std::uint64_t valley_free_seen = 0;
   std::uint64_t valleys_seen = 0;
   std::uint64_t incomplete_seen = 0;
+
+  friend bool operator==(const LiveStats&, const LiveStats&) = default;
 };
 
 /// One published epoch: the authoritative batch-equivalent census.
@@ -96,7 +91,8 @@ struct EpochReport {
 class IncrementalCensus {
  public:
   /// Copies the dictionary and config; seeds the live state from `rib`
-  /// exactly as if every route had been announced.  `source` labels the
+  /// exactly as if every route had been announced (the path stores are
+  /// built on a pool of config.threads workers).  `source` labels the
   /// snapshots recompute() emits (typically the RIB file path).
   IncrementalCensus(const mrt::ObservedRib& rib, rpsl::CommunityDictionary dict,
                     core::InferenceConfig config, std::string source,
@@ -118,13 +114,14 @@ class IncrementalCensus {
     return af == IpVersion::V4 ? rels_v4_ : rels_v6_;
   }
 
-  /// The authoritative epoch: run the full batch census over the
-  /// materialized RIB on `pool`.  Byte-identical to core::run_census on
-  /// mrt-level state; the snapshot is stamped with the last applied MRT
-  /// timestamp (or the seed timestamp before any applies) so identical
-  /// streams produce identical bytes.  Carries the current epoch-scoped
-  /// churn estimates; the caller decides when to reset_epoch_churn().
-  EpochReport recompute(ThreadPool& pool) const;
+  /// The authoritative epoch: fold the path overlays into the stores and
+  /// run the census's back half on the maintained state, on `pool`.
+  /// Byte-identical to core::run_census over rib().materialize(); the
+  /// snapshot is stamped with the last applied MRT timestamp (or the seed
+  /// timestamp before any applies) so identical streams produce identical
+  /// bytes.  Carries the current epoch-scoped churn estimates; the caller
+  /// decides when to reset_epoch_churn().
+  EpochReport recompute(ThreadPool& pool);
 
   /// Epoch-scoped churn cardinality: HLLs over the entities touched by
   /// apply() since construction or the last reset_epoch_churn().  Feeding
@@ -154,23 +151,50 @@ class IncrementalCensus {
     bool dead() const;
   };
 
+  /// One family's distinct paths: the store as of the last cut, plus the
+  /// paths whose occurrence count changed since, with their new counts
+  /// (0 = gone), in the lexicographic order PathStore::merged takes.
+  struct FamilyPaths {
+    PathStore base;
+    std::map<std::vector<Asn>, std::uint32_t> overlay;
+
+    /// The live count of `path`: its overlay entry, created from the base
+    /// count (PathStore::count_of) if absent.
+    std::uint32_t& overlay_count(const std::vector<Asn>& path);
+    /// base = merged(base, overlay); the overlay empties.
+    void fold();
+  };
+
+  /// Vote totals of one family, maintained with sign.
+  struct FamilyVotes {
+    std::uint64_t tagged_routes = 0;
+    std::uint64_t total_votes = 0;
+  };
+
   void add_route(const mrt::ObservedRoute& route);
   void remove_route(const mrt::ObservedRoute& route);
   void apply_votes(const mrt::ObservedRoute& route, int sign);
   void retally(const LinkKey& key, LinkState& state);
   void update_derived(const LinkKey& key, LinkState& state);
   void classify_route(const mrt::ObservedRoute& route);
+  /// Refcount the links of a path that appeared (+1) or vanished (-1).
+  void count_path_links(const std::vector<Asn>& path, bool v4, int sign);
+  /// The community half of the inference, read off the vote state.
+  core::CommunityInference maintained_inference() const;
 
   ObservedRib rib_;
   rpsl::CommunityDictionary dict_;
   core::InferenceConfig config_;
   std::string source_;
 
-  std::unordered_map<std::vector<Asn>, std::uint64_t, AsnVectorHash> paths_v4_;
-  std::unordered_map<std::vector<Asn>, std::uint64_t, AsnVectorHash> paths_v6_;
+  FamilyPaths paths_v4_;
+  FamilyPaths paths_v6_;
   std::unordered_map<LinkKey, LinkState, LinkKeyHash> links_;
   RelationshipMap rels_v4_;
   RelationshipMap rels_v6_;
+  FamilyVotes votes_v4_;
+  FamilyVotes votes_v6_;
+  std::vector<LinkKey> scratch_links_;  ///< reused by count_path_links
 
   LiveStats stats_;
   std::uint64_t applied_ = 0;

@@ -85,6 +85,11 @@ class ObservedRib {
   /// reaches the same route set.
   mrt::ObservedRib materialize() const;
 
+  /// Routes of one family, by reference into the table, in canonical key
+  /// order: the order materialize() emits them.  Valid until the next
+  /// apply().
+  std::vector<const mrt::ObservedRoute*> routes_of(IpVersion af) const;
+
   /// Visit every held route in canonical key order.
   template <typename Fn>
   void for_each(Fn&& fn) const {

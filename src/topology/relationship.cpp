@@ -37,7 +37,22 @@ void RelationshipMap::set(Asn a, Asn b, Relationship rel) {
   }
 }
 
+void RelationshipMap::erase(Asn a, Asn b) {
+  if (entries_.erase(LinkKey(a, b)) == 0) return;
+  index_remove(a, b);
+  index_remove(b, a);
+}
+
 void RelationshipMap::index_add(Asn a, Asn b) { adjacency_[a].push_back(b); }
+
+void RelationshipMap::index_remove(Asn a, Asn b) {
+  auto it = adjacency_.find(a);
+  if (it == adjacency_.end()) return;
+  auto& nbrs = it->second;
+  const auto pos = std::find(nbrs.begin(), nbrs.end(), b);
+  if (pos != nbrs.end()) nbrs.erase(pos);
+  if (nbrs.empty()) adjacency_.erase(it);
+}
 
 Relationship RelationshipMap::get(Asn a, Asn b) const {
   const LinkKey key(a, b);

@@ -65,7 +65,8 @@ class RelationshipMap {
   bool contains(Asn a, Asn b) const { return entries_.count(LinkKey(a, b)) != 0; }
   bool contains(const LinkKey& key) const { return entries_.count(key) != 0; }
 
-  void erase(Asn a, Asn b) { entries_.erase(LinkKey(a, b)); }
+  /// Remove the link (both directions) and its adjacency entries.
+  void erase(Asn a, Asn b);
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -98,6 +99,7 @@ class RelationshipMap {
 
   friend class RelationshipMapBuilderAccess;
   void index_add(Asn a, Asn b);
+  void index_remove(Asn a, Asn b);
 };
 
 }  // namespace htor

@@ -1,6 +1,6 @@
 # End-to-end exercise of the hybridtor CLI, run as a CTest:
-#   1. `generate` into a fresh (nested, not pre-created) temp dir — exit 0,
-#      all three artifacts present.
+#   1. `generate --update-events 300` into a fresh (nested, not pre-created)
+#      temp dir — exit 0, all four artifacts present.
 #   2. `census` on the artifacts — exit 0, key report lines present.
 #   3. `census --jobs 4` — byte-identical output to --jobs 1.
 #   3b. `census --no-stream` (load-all ingest) at --jobs 1 and 4 —
@@ -23,6 +23,10 @@
 #      query daemon serves; byte-level identity is proven by
 #      test_server_e2e), in pair, neighbor, and not-found modes; --json on
 #      another subcommand is rejected.
+#  10. `follow --stats --trace-out` over the generated updates — exit 0, the
+#      stage table names the epoch stages (census.paths, live.epoch,
+#      live.epoch.snapshot), and the trace file is written; --stats on a
+#      subcommand without a stage table is rejected.
 #
 # Invoked as:
 #   cmake -DHYBRIDTOR=<path> -DWORK_DIR=<dir> -P cli_e2e.cmake
@@ -38,12 +42,12 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 set(DATA_DIR "${WORK_DIR}/data/nested")
 
 # -------------------------------------------------------------- 1. generate
-execute_process(COMMAND "${HYBRIDTOR}" generate "${DATA_DIR}" 7
+execute_process(COMMAND "${HYBRIDTOR}" generate --update-events 300 "${DATA_DIR}" 7
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "generate failed (rc=${rc}): ${out}${err}")
 endif()
-foreach(artifact rib.mrt irr.txt truth.csv)
+foreach(artifact rib.mrt irr.txt truth.csv updates.mrt)
   if(NOT EXISTS "${DATA_DIR}/${artifact}")
     message(FATAL_ERROR "generate did not write ${artifact}")
   endif()
@@ -368,6 +372,40 @@ endif()
 string(FIND "${err}" "--json is only valid with the query subcommand" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "diff --json diagnostic is wrong: ${err}")
+endif()
+
+# ------------------------------------------------------ 10. follow --stats
+set(TRACE_FILE "${WORK_DIR}/follow_trace.json")
+execute_process(COMMAND "${HYBRIDTOR}" follow --stats --trace-out "${TRACE_FILE}"
+                        --epoch-every 100 "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
+                        "${DATA_DIR}/updates.mrt"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE follow_out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "follow --stats failed (rc=${rc}): ${err}")
+endif()
+foreach(needle
+        "stage timings:"
+        "census.paths "
+        "census.infer.community "
+        "live.epoch "
+        "live.epoch.snapshot "
+        "wrote trace ")
+  string(FIND "${follow_out}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "follow --stats output is missing '${needle}':\n${follow_out}")
+  endif()
+endforeach()
+if(NOT EXISTS "${TRACE_FILE}")
+  message(FATAL_ERROR "follow --trace-out did not write ${TRACE_FILE}")
+endif()
+execute_process(COMMAND "${HYBRIDTOR}" inspect --stats "${DATA_DIR}/rib.mrt"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "inspect --stats must be rejected")
+endif()
+string(FIND "${err}" "--stats is only valid with the census and follow subcommands" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "inspect --stats diagnostic is wrong: ${err}")
 endif()
 
 message(STATUS "cli_e2e: all checks passed")

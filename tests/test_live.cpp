@@ -1,13 +1,15 @@
 // Tests for the continuous-census subsystem (src/live/): BGP4MP apply
-// semantics on the live ObservedRib, the IncrementalCensus live tier against
-// the batch census, and the pipeline's equivalence oracle — every epoch's
-// snapshot is byte-identical to an independent sequential replay of the
-// same update prefix, at any ring capacity and any pool size.
+// semantics on the live ObservedRib, the IncrementalCensus epoch report
+// against a batch census of the materialized RIB, and the pipeline's
+// equivalence oracle — every epoch's snapshot is byte-identical to an
+// independent sequential replay of the same update prefix, at any ring
+// capacity and any pool size, including under adversarial churn.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "live/pipeline.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
+#include "snapshot/snapshot.hpp"
 #include "snapshot/writer.hpp"
 
 namespace htor::live {
@@ -90,6 +93,38 @@ mrt::Bgp4mpMessage v4_withdraw(Asn peer, const std::string& prefix) {
   bgp::UpdateMessage update;
   update.withdrawn.push_back(Prefix::parse(prefix));
   return wrap_update(peer, std::move(update));
+}
+
+/// An UPDATE announcing `route` as its peer would send it.
+mrt::Bgp4mpMessage announce_route(const mrt::ObservedRoute& route) {
+  bgp::UpdateMessage update;
+  update.attrs.origin = bgp::Origin::Igp;
+  update.attrs.as_path = bgp::AsPath::sequence(route.as_path);
+  update.attrs.local_pref = route.local_pref;
+  update.attrs.communities = route.communities;
+  if (route.af == IpVersion::V4) {
+    update.attrs.next_hop = IpAddress::parse("10.0.0.1");
+    update.nlri.push_back(route.prefix);
+  } else {
+    bgp::MpReachNlri reach;
+    reach.next_hops.push_back(IpAddress::parse("2001:db8::1"));
+    reach.nlri.push_back(route.prefix);
+    update.attrs.mp_reach = std::move(reach);
+  }
+  return wrap_update(route.peer_asn, std::move(update));
+}
+
+/// An UPDATE withdrawing `route`'s (family, prefix) from its peer.
+mrt::Bgp4mpMessage withdraw_route(const mrt::ObservedRoute& route) {
+  bgp::UpdateMessage update;
+  if (route.af == IpVersion::V4) {
+    update.withdrawn.push_back(route.prefix);
+  } else {
+    bgp::MpUnreachNlri unreach;
+    unreach.withdrawn.push_back(route.prefix);
+    update.attrs.mp_unreach = std::move(unreach);
+  }
+  return wrap_update(route.peer_asn, std::move(update));
 }
 
 // --------------------------------------------------------- apply semantics
@@ -194,6 +229,31 @@ TEST(ObservedRibApply, SeedIsLastWinsPerKey) {
 
 // --------------------------------------------- independent replay oracle
 
+/// A route table keyed like the live one, kept by test-local logic.
+using Table = std::map<RouteKey, mrt::ObservedRoute>;
+
+RouteKey key_of(const mrt::ObservedRoute& route) {
+  return RouteKey{route.af, route.prefix, route.peer_asn};
+}
+
+Table seed_table(const World& w) {
+  Table table;
+  for (const auto& route : w.rib.routes()) table.insert_or_assign(key_of(route), route);
+  return table;
+}
+
+/// The BATCH census over `table`, encoded as the epoch stamped `last_ts`
+/// would be.
+std::vector<std::uint8_t> reference_bytes(const Table& table, std::uint32_t last_ts,
+                                          const rpsl::CommunityDictionary& dict,
+                                          ThreadPool& pool) {
+  mrt::ObservedRib rib;
+  for (const auto& [key, route] : table) rib.add(route);
+  core::InferenceConfig config;
+  const auto report = core::run_census(rib, dict, config, pool);
+  return snapshot::Writer::encode(core::to_snapshot(report, kSource, last_ts));
+}
+
 /// Applies the first `count` update records to the seed RIB with
 /// test-local logic (an insert-or-assign/erase map keyed like the live
 /// table), then runs the BATCH census over the result.  This shares no
@@ -201,10 +261,7 @@ TEST(ObservedRibApply, SeedIsLastWinsPerKey) {
 /// epochs are measured against.
 std::vector<std::uint8_t> replay_reference(const World& w, std::size_t count,
                                            ThreadPool& pool) {
-  std::map<RouteKey, mrt::ObservedRoute> table;
-  for (const auto& route : w.rib.routes()) {
-    table.insert_or_assign(RouteKey{route.af, route.prefix, route.peer_asn}, route);
-  }
+  Table table = seed_table(w);
   std::uint32_t last_ts = kSeedTimestamp;
   for (std::size_t i = 0; i < count && i < w.updates.size(); ++i) {
     const auto& record = w.updates[i];
@@ -235,11 +292,7 @@ std::vector<std::uint8_t> replay_reference(const World& w, std::size_t count,
     last_ts = record.timestamp;
   }
 
-  mrt::ObservedRib rib;
-  for (const auto& [key, route] : table) rib.add(route);
-  core::InferenceConfig config;
-  const auto report = core::run_census(rib, w.dict, config, pool);
-  return snapshot::Writer::encode(core::to_snapshot(report, kSource, last_ts));
+  return reference_bytes(table, last_ts, w.dict, pool);
 }
 
 TEST(IncrementalCensus, SeedEpochMatchesBatchCensus) {
@@ -301,42 +354,251 @@ TEST(LivePipeline, EpochsMatchIndependentReplayAtAnyCapacityAndJobs) {
   std::remove(path.c_str());
 }
 
-// Live-tier counters equal the batch census on the final route set (with
-// Rosetta off: the live tier is community-only by contract).
-TEST(IncrementalCensus, LiveStatsMatchBatchCensusAfterStream) {
+// ----------------------------------------------- report-level oracle
+
+/// The epoch report against core::run_census over the materialized RIB, on
+/// what no snapshot carries: the path stores, the community tallies, and
+/// the Rosetta and valley counters.
+void expect_report_matches_batch(const core::CensusReport& live,
+                                 const core::CensusReport& batch) {
+  EXPECT_TRUE(live.v4_path_store == batch.v4_path_store);
+  EXPECT_TRUE(live.v6_path_store == batch.v6_path_store);
+  for (const bool v4 : {true, false}) {
+    SCOPED_TRACE(v4 ? "v4" : "v6");
+    const auto& got = v4 ? live.inferred.community_v4 : live.inferred.community_v6;
+    const auto& want = v4 ? batch.inferred.community_v4 : batch.inferred.community_v6;
+    EXPECT_EQ(got.tagged_routes, want.tagged_routes);
+    EXPECT_EQ(got.total_votes, want.total_votes);
+    EXPECT_EQ(got.links_with_votes, want.links_with_votes);
+    EXPECT_EQ(got.conflicted_links, want.conflicted_links);
+    EXPECT_EQ(snapshot::sorted_entries(got.rels), snapshot::sorted_entries(want.rels));
+
+    const auto& rosetta = v4 ? live.inferred.rosetta_v4 : live.inferred.rosetta_v6;
+    const auto& rosetta_want = v4 ? batch.inferred.rosetta_v4 : batch.inferred.rosetta_v6;
+    EXPECT_EQ(rosetta.values_learned, rosetta_want.values_learned);
+    EXPECT_EQ(rosetta.values_ambiguous, rosetta_want.values_ambiguous);
+    EXPECT_EQ(rosetta.routes_te_filtered, rosetta_want.routes_te_filtered);
+    EXPECT_EQ(rosetta.routes_resolved, rosetta_want.routes_resolved);
+    EXPECT_EQ(snapshot::sorted_entries(rosetta.first_hop_rels),
+              snapshot::sorted_entries(rosetta_want.first_hop_rels));
+
+    const auto& valleys = v4 ? live.v4_valleys : live.v6_valleys;
+    const auto& valleys_want = v4 ? batch.v4_valleys : batch.v6_valleys;
+    EXPECT_EQ(valleys.paths, valleys_want.paths);
+    EXPECT_EQ(valleys.valley_free, valleys_want.valley_free);
+    EXPECT_EQ(valleys.valley, valleys_want.valley);
+    EXPECT_EQ(valleys.incomplete, valleys_want.incomplete);
+    EXPECT_EQ(valleys.classified_valleys, valleys_want.classified_valleys);
+    EXPECT_EQ(valleys.necessary_valleys, valleys_want.necessary_valleys);
+  }
+}
+
+class LiveReportOracle : public ::testing::TestWithParam<bool> {};
+
+// Epochs cut every 100 updates (so the path overlays are folded many times)
+// match a batch census of the same RIB, with Rosetta on and off.  The live
+// counters match it too; the live hybrid count is community-only, so it is
+// compared with Rosetta off.
+TEST_P(LiveReportOracle, EpochReportMatchesBatchCensusOfMaterializedRib) {
   const World& w = world();
   ThreadPool pool(1);
   core::InferenceConfig config;
-  config.use_rosetta = false;
+  config.use_rosetta = GetParam();
   IncrementalCensus census(w.rib, w.dict, config, kSource, kSeedTimestamp);
-  for (const auto& record : w.updates) {
+
+  const auto check = [&](std::size_t applied) {
+    SCOPED_TRACE(applied);
+    const auto epoch = census.recompute(pool);
+    const auto batch = core::run_census(census.rib().materialize(), w.dict, config, pool);
+    expect_report_matches_batch(epoch.report, batch);
+
+    const auto& stats = census.stats();
+    EXPECT_EQ(stats.routes, census.rib().size());
+    EXPECT_EQ(stats.v4_paths, batch.v4_paths);
+    EXPECT_EQ(stats.v6_paths, batch.v6_paths);
+    EXPECT_EQ(stats.v4_links, batch.v4_links);
+    EXPECT_EQ(stats.v6_links, batch.v6_links);
+    EXPECT_EQ(stats.dual_links, batch.dual_links);
+    EXPECT_EQ(stats.typed_links_v4, batch.inferred.community_v4.rels.size());
+    EXPECT_EQ(stats.typed_links_v6, batch.inferred.community_v6.rels.size());
+    EXPECT_EQ(stats.total_votes, batch.inferred.community_v4.total_votes +
+                                     batch.inferred.community_v6.total_votes);
+    if (!config.use_rosetta) {
+      EXPECT_EQ(stats.hybrid_links, batch.hybrids.hybrids.size());
+    }
+  };
+
+  check(0);
+  for (std::size_t i = 0; i < w.updates.size(); ++i) {
+    const auto& record = w.updates[i];
     census.apply(record.timestamp, std::get<mrt::Bgp4mpMessage>(record.body));
+    if ((i + 1) % 100 == 0) check(i + 1);
   }
-  ASSERT_EQ(census.applied(), w.updates.size());
+  check(w.updates.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rosetta, LiveReportOracle, ::testing::Bool(),
+                         [](const auto& info) { return info.param ? "On" : "Off"; });
+
+// ------------------------------------------------------ adversarial churn
+
+/// A live census and the test's own mirror of its table, stepped together;
+/// every cut is checked byte for byte against the batch census of the
+/// mirror.
+struct ChurnRig {
+  ChurnRig(const World& w, std::size_t jobs)
+      : world(w), pool(jobs), census(w.rib, w.dict, config_for(jobs), kSource, kSeedTimestamp),
+        table(seed_table(w)) {}
+
+  static core::InferenceConfig config_for(std::size_t jobs) {
+    core::InferenceConfig config;
+    config.threads = jobs;
+    return config;
+  }
+
+  void announce(const mrt::ObservedRoute& route) {
+    census.apply(++timestamp, announce_route(route));
+    table.insert_or_assign(key_of(route), route);
+  }
+  void withdraw(const mrt::ObservedRoute& route) {
+    census.apply(++timestamp, withdraw_route(route));
+    table.erase(key_of(route));
+  }
+  /// Cut an epoch; it must equal the batch census of the mirror.
+  std::vector<std::uint8_t> cut() {
+    const auto bytes = snapshot::Writer::encode(census.recompute(pool).snap);
+    ThreadPool reference_pool(1);
+    const std::uint32_t stamp = census.applied() == 0 ? kSeedTimestamp : timestamp;
+    EXPECT_EQ(bytes, reference_bytes(table, stamp, world.dict, reference_pool))
+        << "epoch at applied=" << census.applied() << " diverged from the batch census";
+    return bytes;
+  }
+
+  const World& world;
+  ThreadPool pool;
+  IncrementalCensus census;
+  Table table;
+  std::uint32_t timestamp = kSeedTimestamp;
+};
+
+/// A route of `af` with communities and a path of at least three ASes.
+const mrt::ObservedRoute& tagged_route(const World& w, IpVersion af) {
+  for (const auto& route : w.rib.routes()) {
+    if (route.af == af && !route.communities.empty() && route.as_path.size() >= 3) return route;
+  }
+  throw std::logic_error("world has no tagged route of the family");
+}
+
+// One link flaps 50 times inside one epoch: each flap withdraws a route and
+// re-announces it through an AS no other path crosses.
+TEST(AdversarialChurn, OneLinkFlapsFiftyTimesInOneEpoch) {
+  const World& w = world();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    ChurnRig rig(w, jobs);
+    rig.cut();
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      const mrt::ObservedRoute& original = tagged_route(w, af);
+      mrt::ObservedRoute detour = original;
+      detour.as_path.insert(detour.as_path.begin() + 1, 4200000001u);
+      for (int flap = 0; flap < 50; ++flap) {
+        rig.withdraw(original);
+        rig.announce(detour);
+      }
+    }
+    rig.cut();
+  }
+}
+
+// Every route withdrawn, an epoch cut on the empty RIB, then every route
+// re-announced in reverse key order.
+TEST(AdversarialChurn, WithdrawEverythingThenReannounceInReverse) {
+  const World& w = world();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    ChurnRig rig(w, jobs);
+    std::vector<mrt::ObservedRoute> routes;
+    for (const auto& [key, route] : rig.table) routes.push_back(route);
+    for (const auto& route : routes) rig.withdraw(route);
+    ASSERT_EQ(rig.census.rib().size(), 0u);
+    rig.cut();
+    const auto& stats = rig.census.stats();
+    EXPECT_EQ(stats.v4_paths + stats.v6_paths + stats.v4_links + stats.v6_links, 0u);
+    EXPECT_EQ(stats.total_votes, 0u);
+    for (auto it = routes.rbegin(); it != routes.rend(); ++it) rig.announce(*it);
+    rig.cut();
+  }
+}
+
+// Two cuts with no apply between them publish the same bytes.
+TEST(AdversarialChurn, RecomputeTwiceWithoutApplyIsIdentical) {
+  const World& w = world();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    ThreadPool pool(jobs);
+    IncrementalCensus census(w.rib, w.dict, ChurnRig::config_for(jobs), kSource,
+                             kSeedTimestamp);
+    const std::size_t half = w.updates.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      census.apply(w.updates[i].timestamp, std::get<mrt::Bgp4mpMessage>(w.updates[i].body));
+    }
+    const auto first = snapshot::Writer::encode(census.recompute(pool).snap);
+    const auto second = snapshot::Writer::encode(census.recompute(pool).snap);
+    EXPECT_EQ(first, second);
+    ThreadPool reference_pool(1);
+    EXPECT_EQ(first, replay_reference(w, half, reference_pool));
+  }
+}
+
+// Rosetta types a link from the first route that crosses it, so the order
+// it reads routes in is part of the census.  Here two untagged routes cross
+// link 1-2 with LocPrf values that translate to different relationships;
+// the epoch must read them in canonical key order, as the batch census over
+// the materialized RIB does, in both families.
+TEST(IncrementalCensus, RosettaReadsRoutesInCanonicalOrder) {
+  const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(
+      "aut-num:        AS1\n"
+      "remarks:        1:100   routes learned from customers\n"
+      "remarks:        1:200   routes learned from peers\n"));
+  mrt::ObservedRib rib;
+  for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    const auto prefix = [af](int i) {
+      return Prefix::parse(af == IpVersion::V4 ? "10." + std::to_string(i) + ".0.0/16"
+                                               : "2001:db8:" + std::to_string(i) + "::/48");
+    };
+    const auto add = [&](int i, std::vector<Asn> path, std::uint32_t local_pref,
+                         std::vector<bgp::Community> communities) {
+      mrt::ObservedRoute route;
+      route.af = af;
+      route.prefix = prefix(i);
+      route.peer_asn = 1;
+      route.as_path = std::move(path);
+      route.local_pref = local_pref;
+      route.communities = std::move(communities);
+      rib.add(std::move(route));
+    };
+    // Three tagged samples teach each LocPrf value (Rosetta's min_samples).
+    for (int i = 0; i < 3; ++i) {
+      add(10 + i, {1, static_cast<Asn>(11 + i)}, 100, {bgp::Community(1, 100)});
+      add(20 + i, {1, static_cast<Asn>(21 + i)}, 200, {bgp::Community(1, 200)});
+    }
+    // Added in reverse key order: in key order 30 comes first.
+    add(40, {1, 2, 3}, 200, {});
+    add(30, {1, 2, 4}, 100, {});
+  }
+
+  ThreadPool pool(1);
+  const core::InferenceConfig config;
+  IncrementalCensus census(rib, dict, config, kSource, kSeedTimestamp);
+  const auto batch = core::run_census(census.rib().materialize(), dict, config, pool);
+  ASSERT_EQ(batch.inferred.v4.get(1, 2), Relationship::P2C);
+  ASSERT_EQ(batch.inferred.v6.get(1, 2), Relationship::P2C);
 
   const auto epoch = census.recompute(pool);
-  const auto& report = epoch.report;
-  const auto& stats = census.stats();
-
-  EXPECT_EQ(stats.routes, census.rib().size());
-  EXPECT_EQ(stats.v4_paths, report.v4_paths);
-  EXPECT_EQ(stats.v6_paths, report.v6_paths);
-  EXPECT_EQ(stats.v4_links, report.v4_links);
-  EXPECT_EQ(stats.v6_links, report.v6_links);
-  EXPECT_EQ(stats.dual_links, report.dual_links);
-  EXPECT_EQ(stats.links_with_votes_v4, report.inferred.community_v4.links_with_votes);
-  EXPECT_EQ(stats.links_with_votes_v6, report.inferred.community_v6.links_with_votes);
-  EXPECT_EQ(stats.conflicted_links_v4, report.inferred.community_v4.conflicted_links);
-  EXPECT_EQ(stats.conflicted_links_v6, report.inferred.community_v6.conflicted_links);
-  EXPECT_EQ(stats.typed_links_v4, report.inferred.community_v4.rels.size());
-  EXPECT_EQ(stats.typed_links_v6, report.inferred.community_v6.rels.size());
-  EXPECT_EQ(stats.total_votes, report.inferred.community_v4.total_votes +
-                                   report.inferred.community_v6.total_votes);
-  EXPECT_EQ(stats.hybrid_links, report.hybrids.hybrids.size());
-  EXPECT_EQ(census.live_rels(IpVersion::V4).size(),
-            report.inferred.community_v4.rels.size());
-  EXPECT_EQ(census.live_rels(IpVersion::V6).size(),
-            report.inferred.community_v6.rels.size());
+  EXPECT_EQ(epoch.report.inferred.v4.get(1, 2), Relationship::P2C);
+  EXPECT_EQ(epoch.report.inferred.v6.get(1, 2), Relationship::P2C);
+  EXPECT_EQ(snapshot::Writer::encode(epoch.snap),
+            snapshot::Writer::encode(core::to_snapshot(batch, kSource, kSeedTimestamp)));
 }
 
 // A malformed update mid-stream surfaces from apply() with the census (and

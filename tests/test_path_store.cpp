@@ -1,8 +1,9 @@
-// Property test for the flat PathStore: on seeded random path multisets it
+// Property tests for the flat PathStore: on seeded random path multisets it
 // must agree exactly with a naive std::map reference — distinct paths in
 // lexicographic order with their counts, the sorted link table, and the
 // distinct-path count of every link — at every pool size and for every
-// order of the input.
+// order of the input; and PathStore::merged must build, field for field,
+// the store a from-scratch build over the changed multiset builds.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "topology/path_store.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace htor {
@@ -148,6 +150,139 @@ TEST(PathStoreProperty, EmptyAndShortInputsBuildEmptyStores) {
   EXPECT_EQ(empty.unique_paths(), 0u);
   EXPECT_TRUE(empty.links().empty());
   EXPECT_EQ(empty.paths_containing(1, 2), 0u);
+}
+
+// ------------------------------------------------------------ merged()
+
+/// Field-by-field equality of two stores: distinct paths (arena and
+/// offsets) with their counts, total, links and link counts.
+void expect_same_store(const PathStore& got, const PathStore& want) {
+  ASSERT_EQ(got.unique_paths(), want.unique_paths());
+  for (std::size_t i = 0; i < want.unique_paths(); ++i) {
+    const auto a = got.path(i);
+    const auto b = want.path(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "path " << i;
+    ASSERT_EQ(got.count_of(a), want.count_of(b)) << "count of path " << i;
+  }
+  EXPECT_EQ(got.total_occurrences(), want.total_occurrences());
+  EXPECT_EQ(got.links(), want.links());
+  EXPECT_EQ(got.link_path_counts(), want.link_path_counts());
+  EXPECT_TRUE(got == want) << "raw arena, offsets or counts differ";
+}
+
+using Multiset = std::map<std::vector<Asn>, std::uint32_t>;
+
+Paths occurrences_of(const Multiset& multiset) {
+  Paths out;
+  for (const auto& [path, count] : multiset) out.insert(out.end(), count, path);
+  return out;
+}
+
+std::vector<Asn> random_path(Rng& rng, std::uint32_t alphabet) {
+  std::vector<Asn> path;
+  const std::uint32_t length = rng.uniform(0, 7);
+  for (std::uint32_t i = 0; i < length; ++i) {
+    if (!path.empty() && rng.chance(0.15)) {
+      path.push_back(path.back());  // prepend
+    } else {
+      path.push_back(rng.uniform(1, alphabet));
+    }
+  }
+  return path;
+}
+
+/// Seeded rounds of churn over a path multiset: count changes, removals,
+/// new paths (prepends, single-AS and empty ones among them) and re-adds of
+/// removed paths; one round removes everything and the next re-adds.  After
+/// every round merged(store, changes) must equal a from-scratch build over
+/// the new multiset, which the next round merges into.
+TEST(PathStoreMerge, EqualsFromScratchBuildUnderChurn) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    ThreadPool pool(jobs);
+    Rng rng(11);
+    constexpr std::uint32_t kAlphabet = 40;
+
+    Multiset multiset;
+    for (const auto& path : random_paths(12, 400, kAlphabet)) ++multiset[path];
+    PathStore store(occurrences_of(multiset), pool);
+    std::vector<std::vector<Asn>> removed;
+
+    for (int round = 0; round < 30; ++round) {
+      SCOPED_TRACE(round);
+      Multiset changes;  // path -> new absolute count
+      if (round == 20) {
+        for (const auto& [path, count] : multiset) changes[path] = 0;
+      } else if (round == 21) {
+        for (const auto& path : removed) changes[path] = 1 + rng.uniform(0, 2);
+      } else {
+        const std::size_t edits = 1 + rng.index(40);
+        for (std::size_t e = 0; e < edits; ++e) {
+          const std::size_t kind = rng.index(4);
+          if (kind == 0 || multiset.empty()) {
+            changes[random_path(rng, kAlphabet)] = 1 + rng.uniform(0, 3);
+          } else if (kind == 1 && !removed.empty()) {
+            changes[removed[rng.index(removed.size())]] = 1;
+          } else {
+            auto it = multiset.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(rng.index(multiset.size())));
+            changes[it->first] = kind == 2 ? 0 : 1 + rng.uniform(0, 4);
+          }
+        }
+      }
+
+      for (const auto& [path, count] : changes) {
+        if (count == 0) {
+          if (multiset.erase(path) != 0) removed.push_back(path);
+        } else {
+          multiset[path] = count;
+        }
+      }
+      std::vector<PathChange> sorted;
+      for (const auto& [path, count] : changes) sorted.push_back(PathChange{path, count});
+
+      const PathStore merged = PathStore::merged(store, sorted);
+      const PathStore scratch(occurrences_of(multiset), pool);
+      expect_same_store(merged, scratch);
+      if (round == 20) {
+        EXPECT_EQ(merged.unique_paths(), 0u);
+      }
+      store = merged;
+    }
+  }
+}
+
+TEST(PathStoreMerge, NoChangesCopiesAndUnsortedChangesThrow) {
+  ThreadPool pool(1);
+  const Paths occurrences = {{1, 2, 3}, {1, 2, 3}, {2, 3}, {4, 4, 5}};
+  const PathStore base(occurrences, pool);
+  expect_same_store(PathStore::merged(base, {}), base);
+
+  const std::vector<Asn> a = {1, 2};
+  const std::vector<Asn> b = {2, 3};
+  const std::vector<PathChange> unsorted = {PathChange{b, 1}, PathChange{a, 1}};
+  EXPECT_THROW(PathStore::merged(base, unsorted), InvalidArgument);
+  const std::vector<PathChange> repeated = {PathChange{a, 1}, PathChange{a, 2}};
+  EXPECT_THROW(PathStore::merged(base, repeated), InvalidArgument);
+}
+
+TEST(PathStoreMerge, CountOfFindsStoredPathsOnly) {
+  ThreadPool pool(1);
+  const PathStore store(Paths{{1, 2, 3}, {1, 2, 3}, {2, 3}, {7}, {}}, pool);
+  EXPECT_EQ(store.count_of(std::vector<Asn>{1, 2, 3}), 2u);
+  EXPECT_EQ(store.count_of(std::vector<Asn>{2, 3}), 1u);
+  EXPECT_EQ(store.count_of(std::vector<Asn>{1, 2}), 0u);
+  EXPECT_EQ(store.count_of(std::vector<Asn>{7}), 0u);
+  EXPECT_EQ(store.count_of(std::vector<Asn>{9, 9, 9}), 0u);
+  EXPECT_EQ(PathStore().count_of(std::vector<Asn>{1, 2}), 0u);
+}
+
+TEST(PathLinks, DistinctSortedLinksWithoutPrepends) {
+  std::vector<LinkKey> links;
+  path_links(std::vector<Asn>{5, 5, 3, 1, 3, 5}, links);
+  EXPECT_EQ(links, (std::vector<LinkKey>{LinkKey(1, 3), LinkKey(3, 5)}));
+  path_links(std::vector<Asn>{4}, links);
+  EXPECT_TRUE(links.empty());
 }
 
 }  // namespace

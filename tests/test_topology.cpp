@@ -88,6 +88,13 @@ TEST(RelationshipMap, EraseAndForEach) {
     EXPECT_EQ(rel, Relationship::P2P);
   });
   EXPECT_EQ(visits, 1);
+
+  // The neighbor index forgets the link too: setting it again lists the
+  // customer once, as a map that never held it would.
+  EXPECT_TRUE(rels.customers(1).empty());
+  rels.set(1, 2, Relationship::P2C);
+  EXPECT_EQ(rels.customers(1), std::vector<Asn>{2});
+  EXPECT_EQ(rels.providers(2), std::vector<Asn>{1});
 }
 
 TEST(AsGraph, PerFamilyLinks) {

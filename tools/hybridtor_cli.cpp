@@ -62,10 +62,11 @@
 // ~3× the decoded RIB.  `--no-stream` selects the legacy load-all path;
 // both paths produce byte-identical reports.
 //
-// `census --stats` appends an end-of-run stage-timing table (ingest,
-// decode, apply, census sub-stages, snapshot write) from the obs span
-// histograms; `--trace-out <file>` additionally captures every stage span
-// and writes a Chrome-trace-format JSON file that chrome://tracing and
+// `census --stats` and `follow --stats` append an end-of-run stage-timing
+// table (ingest, decode, apply, census sub-stages, snapshot write; for
+// follow also live.epoch, live.epoch.snapshot and live.run) from the obs
+// span histograms; `--trace-out <file>` additionally captures every stage
+// span and writes a Chrome-trace-format JSON file that chrome://tracing and
 // ui.perfetto.dev open directly.
 #include <algorithm>
 #include <atomic>
@@ -168,6 +169,7 @@ int usage() {
                "  hybridtor snapshot-upgrade <in.snap> <out.snap>\n"
                "  hybridtor serve <snap> [--port N] [--jobs N]\n"
                "  hybridtor follow [--jobs N] [--epoch-every N] [--ring-capacity N]\n"
+               "                   [--stats] [--trace-out <file>]\n"
                "                   <rib.mrt> <irr.txt> <updates.mrt...>\n"
                "  hybridtor serve --follow [--port N] [--jobs N] [--epoch-every N]\n"
                "                   [--ring-capacity N] <rib.mrt> <irr.txt> <updates.mrt...>\n";
@@ -317,6 +319,18 @@ void print_stage_stats(std::ostream& out) {
   t.print(out);
 }
 
+/// The end of a run that took --stats / --trace-out: the stage table, then
+/// the trace file (the collector was enabled when the run began).
+void report_observability(bool stats, const std::optional<std::string>& trace_out) {
+  if (stats) print_stage_stats(std::cout);
+  if (trace_out) {
+    auto& collector = obs::TraceCollector::global();
+    collector.write_file(*trace_out);
+    std::cout << "\nwrote trace " << *trace_out << " (" << collector.event_count()
+              << " events; load in chrome://tracing or ui.perfetto.dev)\n";
+  }
+}
+
 /// Distinct ASes on the AS paths of a RIB.
 std::size_t count_distinct_ases(const mrt::ObservedRib& rib) {
   std::vector<Asn> ases;
@@ -429,13 +443,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
               << snap.rels_v4.size() << ", v6 links " << snap.rels_v6.size() << ", hybrids "
               << snap.hybrids.size() << ")\n";
   }
-  if (stats) print_stage_stats(std::cout);
-  if (trace_out) {
-    auto& collector = obs::TraceCollector::global();
-    collector.write_file(*trace_out);
-    std::cout << "\nwrote trace " << *trace_out << " (" << collector.event_count()
-              << " events; load in chrome://tracing or ui.perfetto.dev)\n";
-  }
+  report_observability(stats, trace_out);
   return 0;
 }
 
@@ -709,7 +717,9 @@ int cmd_serve(const std::string& snap_path, std::uint16_t port, std::size_t jobs
 /// offline replay / validation path (`serve --follow` is the serving path).
 int cmd_follow(const std::string& rib_path, const std::string& irr_path,
                std::vector<std::string> update_paths, std::size_t jobs,
-               std::uint64_t epoch_every, std::size_t ring_capacity) {
+               std::uint64_t epoch_every, std::size_t ring_capacity, bool stats,
+               const std::optional<std::string>& trace_out) {
+  if (trace_out) obs::TraceCollector::global().enable();
   ThreadPool pool(jobs);
   mrt::ObservedRib rib;
   try {
@@ -745,7 +755,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
   });
 
   const auto& apply = census.rib().stats();
-  const auto& stats = census.stats();
+  const auto& live_stats = census.stats();
   std::cout << "\nstream done: " << result.records << " BGP4MP records ("
             << result.skipped << " non-update frames skipped), " << result.applied
             << " applied, " << result.epochs << " epochs\n"
@@ -753,9 +763,10 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
             << apply.duplicates << " duplicate announces; " << apply.withdrawn
             << " withdrawn (" << apply.withdrawn_missing << " for unknown routes); "
             << apply.non_updates << " non-UPDATE messages\n"
-            << "valley telemetry over announced paths: " << stats.valley_free_seen
-            << " valley-free, " << stats.valleys_seen << " valleys, " << stats.incomplete_seen
-            << " incomplete\n";
+            << "valley telemetry over announced paths: " << live_stats.valley_free_seen
+            << " valley-free, " << live_stats.valleys_seen << " valleys, "
+            << live_stats.incomplete_seen << " incomplete\n";
+  report_observability(stats, trace_out);
   return 0;
 }
 
@@ -969,12 +980,12 @@ int main(int argc, char** argv) {
     std::cerr << "error: --snapshot-out is only valid with the census subcommand\n";
     return 2;
   }
-  if (stats && cmd != "census") {
-    std::cerr << "error: --stats is only valid with the census subcommand\n";
+  if (stats && cmd != "census" && cmd != "follow") {
+    std::cerr << "error: --stats is only valid with the census and follow subcommands\n";
     return 2;
   }
-  if (trace_out && cmd != "census") {
-    std::cerr << "error: --trace-out is only valid with the census subcommand\n";
+  if (trace_out && cmd != "census" && cmd != "follow") {
+    std::cerr << "error: --trace-out is only valid with the census and follow subcommands\n";
     return 2;
   }
   if (json && cmd != "query") {
@@ -1040,7 +1051,8 @@ int main(int argc, char** argv) {
     }
     if (cmd == "follow" && args.size() >= 4) {
       return cmd_follow(args[1], args[2], {args.begin() + 3, args.end()}, jobs.value_or(1),
-                        epoch_every.value_or(0), ring_capacity.value_or(1024));
+                        epoch_every.value_or(0), ring_capacity.value_or(1024), stats,
+                        trace_out);
     }
     if (cmd == "serve" && follow && args.size() >= 4) {
       return cmd_serve_follow(args[1], args[2], {args.begin() + 3, args.end()},
