@@ -80,8 +80,10 @@ void BM_MrtParseRib(benchmark::State& state) {
   const auto& data = bits().mrt_bytes;
   std::uint64_t records = 0;
   for (auto _ : state) {
-    mrt::MrtReader reader(data);
-    while (auto rec = reader.next()) {
+    mrt::MrtStreamReader reader(data);
+    while (const auto frame = reader.next()) {
+      auto rec =
+          mrt::decode_record_body(frame->timestamp, frame->type, frame->subtype, frame->body);
       benchmark::DoNotOptimize(rec);
       ++records;
     }
@@ -148,12 +150,12 @@ void BM_RunCensus(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCensus)->Arg(1)->Arg(4)->UseRealTime();
 
-// --- ingest: streaming vs load-all ------------------------------------------
+// --- ingest -----------------------------------------------------------------
 //
-// Peak RSS is a per-process high-water mark, so measuring both ingest paths
-// in one process would let whichever runs first poison the other's number.
-// Each iteration forks a child that performs ONE ingest of the bench RIB and
-// reports its own ru_maxrss back through a pipe.  A forked child still
+// Peak RSS is a per-process high-water mark, so an ingest measured in this
+// process would carry every earlier benchmark's allocations.  Each iteration
+// forks a child that performs ONE ingest of the bench RIB and reports its
+// own ru_maxrss back through a pipe.  A forked child still
 // inherits the parent's resident COW pages, so an idle-child baseline is
 // probed once and subtracted — peak_rss_mb is the ingest's own high-water
 // delta.  Counters: peak_rss_mb, routes (joined count, correctness canary).
@@ -161,8 +163,7 @@ BENCHMARK(BM_RunCensus)->Arg(1)->Arg(4)->UseRealTime();
 
 /// On-disk bench RIB, written once per process (PID-suffixed so concurrent
 /// bench runs never race on the file).  Larger than the unit-test dumps so
-/// the whole-file and whole-Record-vector materializations of the load-all
-/// path actually show up in RSS.
+/// the ingest spans several stream batches.
 const std::string& bench_rib_path() {
   static const std::string path = [] {
     const auto net = gen::SyntheticInternet::generate(gen::small_params(11));
@@ -242,7 +243,8 @@ void BM_IngestStreaming(benchmark::State& state) {
   for (auto _ : state) {
     last = probe_ingest_in_child([&] {
       ThreadPool pool(jobs);
-      return static_cast<std::uint64_t>(mrt::rib_from_stream(path, pool).size());
+      mrt::MrtStreamReader stream(path);
+      return static_cast<std::uint64_t>(mrt::rib_from_stream(stream, pool).size());
     });
     benchmark::DoNotOptimize(last);
   }
@@ -251,25 +253,6 @@ void BM_IngestStreaming(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(jobs);
 }
 BENCHMARK(BM_IngestStreaming)->Arg(1)->Arg(4)->UseRealTime();
-
-void BM_IngestLoadAll(benchmark::State& state) {
-  const std::string path = bench_rib_path();
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  IngestProbe last;
-  for (auto _ : state) {
-    last = probe_ingest_in_child([&] {
-      ThreadPool pool(jobs);
-      const auto data = mrt::load_file(path);
-      return static_cast<std::uint64_t>(
-          mrt::rib_from_records(mrt::read_all(data), pool).size());
-    });
-    benchmark::DoNotOptimize(last);
-  }
-  state.counters["peak_rss_mb"] = ingest_delta_mb(last);
-  state.counters["routes"] = static_cast<double>(last.routes);
-  state.counters["jobs"] = static_cast<double>(jobs);
-}
-BENCHMARK(BM_IngestLoadAll)->Arg(1)->Arg(4)->UseRealTime();
 
 #endif  // __unix__
 

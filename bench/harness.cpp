@@ -2,7 +2,7 @@
 
 #include <iostream>
 
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 
@@ -21,10 +21,10 @@ Dataset make_dataset(const gen::GenParams& params) {
     writer.write(record);
   }
   ds.mrt_bytes = writer.data().size();
-  const auto records = mrt::read_all(writer.data());
-  ds.mrt_records = records.size();
+  mrt::MrtStreamReader stream(writer.data());
   ThreadPool pool(1);
-  ds.rib = mrt::rib_from_records(records, pool);
+  ds.rib = mrt::rib_from_stream(stream, pool);
+  ds.mrt_records = stream.records_read();
 
   ds.dict = rpsl::mine_dictionary(rpsl::parse_objects(ds.net.irr_dump()));
   return ds;

@@ -10,7 +10,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 #include "util/strings.hpp"
@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
        mrt::records_from_rib(net.collect(), 0x0a0a0a0au, "census", 1281052800u)) {
     writer.write(record);
   }
+  mrt::MrtStreamReader stream(writer.data());
   ThreadPool pool(1);
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   const auto census = core::run_census(rib, dict);
 

@@ -11,7 +11,9 @@
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
+#include "util/bytes.hpp"
 
 namespace {
 
@@ -44,13 +46,14 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) path = demo_file();
 
-  const auto data = mrt::load_file(path);
+  const auto data = load_bytes(path);
   const auto records = mrt::read_all(data);
   std::cout << path << ": " << data.size() << " bytes, " << records.size() << " records\n";
 
   if (routes_mode) {
+    mrt::MrtStreamReader stream(data);
     ThreadPool pool(1);
-    const auto rib = mrt::rib_from_records(records, pool);
+    const auto rib = mrt::rib_from_stream(stream, pool);
     for (const auto& route : rib.routes()) {
       std::cout << route.prefix.to_string() << " via AS" << route.peer_asn << " path [";
       for (std::size_t i = 0; i < route.as_path.size(); ++i) {

@@ -12,7 +12,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 #include "util/strings.hpp"
@@ -36,8 +36,9 @@ int main() {
   std::cout << "collector RIB: " << writer.data().size() << " bytes of MRT\n";
 
   // 3. Parse the bytes back and mine the IRR text.
+  mrt::MrtStreamReader stream(writer.data());
   ThreadPool pool(1);
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   std::cout << "community dictionary: " << dict.size() << " entries from "
             << dict.documented_asns().size() << " documented ASes\n";

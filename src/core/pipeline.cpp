@@ -4,20 +4,15 @@
 #include <iterator>
 
 #include "core/parallel.hpp"
-#include "mrt/reader.hpp"
 #include "mrt/stream_reader.hpp"
 #include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace htor::core {
 
-mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool,
-                          const IngestOptions& options) {
-  if (options.streaming) {
-    return mrt::rib_from_stream(path, pool, options.batch_records);
-  }
-  const auto data = mrt::load_file(path);
-  return mrt::rib_from_records(mrt::read_all(data), pool);
+mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool) {
+  mrt::MrtStreamReader stream(path);
+  return mrt::rib_from_stream(stream, pool);
 }
 
 namespace {

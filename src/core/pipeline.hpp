@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,23 +26,11 @@ struct InferenceConfig {
   std::size_t threads = 1;
 };
 
-/// How the census acquires its RIB from an on-disk MRT file.
-struct IngestOptions {
-  /// Streaming (the default): scan record headers sequentially, decode raw
-  /// bodies in fixed parallel batches, and join routes straight into the
-  /// ObservedRib — peak memory stays one batch deep.  When false, the
-  /// load-all path materializes the whole file and a full Record vector
-  /// before joining (~3× the decoded RIB at peak).
-  bool streaming = true;
-  /// Records per streaming decode batch; 0 uses mrt::kStreamBatchRecords.
-  std::size_t batch_records = 0;
-};
-
-/// Load a collector RIB from `path` by either ingest path.  Both paths
-/// produce byte-identical ObservedRibs at any pool size and fail with the
-/// same DecodeError discipline on malformed input.
-mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool,
-                          const IngestOptions& options = {});
+/// Load a collector RIB from the MRT file at `path`: the one ingest path,
+/// mrt::rib_from_stream over a file MrtStreamReader, with the fixed batch
+/// size (byte-identical RIB at any pool size).  Throws Error when the file
+/// cannot be read and DecodeError on malformed input.
+mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool);
 
 struct CoverageStats {
   std::size_t observed_links = 0;

@@ -1,42 +1,27 @@
-// MRT deserializer: iterate the records of an in-memory or on-disk MRT file.
+// MRT record decoding.  decode_record_body() turns one framed record body
+// into a Record; it is the per-record core of the one ingest path
+// (mrt::MrtStreamReader frames, rib_from_stream() decodes and joins in
+// parallel batches).  read_all() is that same framer plus this decoder over
+// a whole buffer, for callers that want every Record of a small input
+// (tests, fuzzers, the record-level examples).
 #pragma once
 
-#include <optional>
-#include <string>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mrt/record.hpp"
-#include "util/bytes.hpp"
 
 namespace htor::mrt {
 
-class MrtReader {
- public:
-  /// Read from an in-memory buffer (not copied; must outlive the reader).
-  explicit MrtReader(std::span<const std::uint8_t> data) : reader_(data) {}
-
-  /// Next record, or nullopt at clean end-of-stream.  Throws DecodeError on
-  /// a truncated or structurally invalid record.
-  std::optional<Record> next();
-
-  /// Remaining unread bytes.
-  std::size_t remaining() const { return reader_.remaining(); }
-
- private:
-  ByteReader reader_;
-};
-
 /// Decode one record body given the common-header fields that frame it.
 /// Modelled (type, subtype) pairs are fully validated and throw DecodeError
-/// on malformed bytes; unmodelled ones come back as RawRecord.  This is the
-/// per-record core shared by MrtReader and the streaming reader.
+/// on malformed bytes; unmodelled ones come back as RawRecord.
 Record decode_record_body(std::uint32_t timestamp, std::uint16_t type, std::uint16_t subtype,
                           std::span<const std::uint8_t> body);
 
-/// Load a whole file into memory.  Throws Error on I/O failure.
-std::vector<std::uint8_t> load_file(const std::string& path);
-
-/// Parse every record of a buffer.
+/// Frame and decode every record of a buffer.  Throws DecodeError on the
+/// first malformed record.
 std::vector<Record> read_all(std::span<const std::uint8_t> data);
 
 }  // namespace htor::mrt

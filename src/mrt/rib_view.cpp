@@ -4,7 +4,6 @@
 #include <iterator>
 #include <map>
 
-#include "core/parallel.hpp"
 #include "util/error.hpp"
 
 namespace htor::mrt {
@@ -59,40 +58,6 @@ std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
 
 std::size_t ObservedRib::size_of(IpVersion af) const {
   return af == IpVersion::V4 ? v4_count_ : v6_count_;
-}
-
-ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool) {
-  // Sequential pre-scan: pair every RIB record with its governing peer
-  // table, preserving record order (and the fail-fast on orphan records).
-  std::vector<std::pair<const RibPrefixRecord*, const PeerIndexTable*>> joins;
-  joins.reserve(records.size());
-  const PeerIndexTable* peers = nullptr;
-  for (const auto& record : records) {
-    if (const auto* pit = std::get_if<PeerIndexTable>(&record.body)) {
-      peers = pit;
-      continue;
-    }
-    const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
-    if (rib_rec == nullptr) continue;  // BGP4MP / raw records are not RIB state
-    if (peers == nullptr) {
-      throw DecodeError("RIB record before any PEER_INDEX_TABLE");
-    }
-    joins.emplace_back(rib_rec, peers);
-  }
-
-  // The per-record attribute joins (AS_SET flattening, community copies)
-  // shard on the pool; each shard's routes append in record order.
-  auto shards = core::shard_map(pool, joins.size(), [&joins](const core::ShardRange& range) {
-    std::vector<ObservedRoute> routes;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      join_rib_record(*joins[i].first, *joins[i].second, routes);
-    }
-    return routes;
-  });
-
-  ObservedRib rib;
-  for (auto& routes : shards) rib.append(std::move(routes));
-  return rib;
 }
 
 std::vector<Record> records_from_rib(const ObservedRib& rib, std::uint32_t collector_bgp_id,

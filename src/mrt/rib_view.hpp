@@ -2,12 +2,11 @@
 // (vantage peer, prefix), with the attributes the paper's method consumes —
 // the AS path, the communities, and the peer's LocPrf when it exports one.
 //
-// rib_from_records() performs the PEER_INDEX_TABLE join that turns raw MRT
-// TABLE_DUMP_V2 records into observed routes; records_from_rib() is the
-// inverse and is what the synthetic collector uses to emit dumps.  Both
-// ingest paths (this one and mrt::rib_from_stream) are decode + join on a
-// pool, then one bulk append per shard: no per-route work on the
-// sequential leg.
+// join_rib_record() is the PEER_INDEX_TABLE join that turns one decoded
+// TABLE_DUMP_V2 RIB record into observed routes; mrt::rib_from_stream
+// (stream_reader.hpp) runs it per record on a pool and is the only way MRT
+// bytes become an ObservedRib.  records_from_rib() is the inverse and is
+// what the synthetic collector uses to emit dumps.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "mrt/record.hpp"
-#include "util/thread_pool.hpp"
 
 namespace htor::mrt {
 
@@ -56,18 +54,9 @@ class ObservedRib {
 
 /// Join one RIB record's entries against its governing peer table, appending
 /// one ObservedRoute per entry (in entry order).  Throws DecodeError when an
-/// entry's peer index is out of range.  This is the per-record core shared
-/// by rib_from_records() and the streaming rib_from_stream() path.
+/// entry's peer index is out of range.  AS_SETs are flattened into the path.
 void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers,
                      std::vector<ObservedRoute>& out);
-
-/// Join RIB records against their PEER_INDEX_TABLE.  A sequential pre-scan
-/// maps every record to its governing peer-index table; records before the
-/// first one are rejected (DecodeError), as are entries whose peer index is
-/// out of range.  The per-record entry joins run on `pool` and append in
-/// shard order, so every pool size (ThreadPool(1) runs inline) gives the
-/// same RIB.  AS_SETs are flattened into the path.
-ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool);
 
 /// Serialize an observed RIB back to MRT TABLE_DUMP_V2 records (one
 /// PEER_INDEX_TABLE followed by one RIB record per prefix, entries grouped).

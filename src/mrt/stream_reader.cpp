@@ -1,5 +1,6 @@
 #include "mrt/stream_reader.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -51,31 +52,45 @@ struct PendingRecord {
   std::shared_ptr<const PeerIndexTable> peers;
 };
 
+Record decode(const RawFramedRecord& raw) {
+  return decode_record_body(raw.timestamp, raw.type, raw.subtype, raw.body);
+}
+
 /// Decode + join one batch on the pool; each shard's routes then append to
 /// the RIB in record order.
 void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRib& rib) {
   IngestMetrics::get().batches.inc();
+  // Why each shard failed, by shard index.  shard_map rethrows the first
+  // failed shard's error once every shard is done, so counting only that
+  // shard's reason counts the aborted ingest exactly once.
+  std::vector<const char*> failures(core::kCensusShards, nullptr);
   std::vector<std::vector<ObservedRoute>> shards;
-  {
+  try {
     OBS_SPAN("ingest.decode");
-    shards = core::shard_map(pool, batch.size(), [&batch](const core::ShardRange& range) {
+    shards = core::shard_map(pool, batch.size(), [&batch, &failures](const core::ShardRange& range) {
       std::vector<ObservedRoute> routes;
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        const PendingRecord& item = batch[i];
-        Record record;
-        try {
-          record = decode_record_body(item.raw.timestamp, item.raw.type,
-                                      item.raw.subtype, item.raw.body);
-        } catch (const DecodeError&) {
-          IngestMetrics::get().decode_error("record_body").inc();
-          throw;
+      const char* step = nullptr;  // what the record being handled is doing
+      try {
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          const PendingRecord& item = batch[i];
+          step = "record_body";
+          const Record record = decode(item.raw);
+          const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
+          if (rib_rec == nullptr) continue;  // decoded only to validate the bytes
+          step = "peer_index_out_of_range";
+          join_rib_record(*rib_rec, *item.peers, routes);
         }
-        const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
-        if (rib_rec == nullptr) continue;  // decoded only to validate the bytes
-        join_rib_record(*rib_rec, *item.peers, routes);
+      } catch (const DecodeError&) {
+        failures[range.index] = step;
+        throw;
       }
       return routes;
     });
+  } catch (const DecodeError&) {
+    const auto first = std::find_if(failures.begin(), failures.end(),
+                                     [](const char* reason) { return reason != nullptr; });
+    if (first != failures.end()) IngestMetrics::get().decode_error(*first).inc();
+    throw;
   }
   {
     OBS_SPAN("ingest.apply");
@@ -86,8 +101,8 @@ void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRi
 
 }  // namespace
 
-MrtStreamReader::MrtStreamReader(const std::string& path, std::size_t io_buffer_bytes)
-    : path_(path), io_buffer_(io_buffer_bytes > 0 ? io_buffer_bytes : kDefaultIoBuffer) {
+MrtStreamReader::MrtStreamReader(const std::string& path)
+    : source_(path), io_buffer_(kIoBufferBytes) {
   // pubsetbuf must precede open() to take effect portably.
   in_.rdbuf()->pubsetbuf(io_buffer_.data(), static_cast<std::streamsize>(io_buffer_.size()));
   in_.open(path, std::ios::binary);
@@ -99,21 +114,35 @@ MrtStreamReader::MrtStreamReader(const std::string& path, std::size_t io_buffer_
   in_.seekg(0);
 }
 
+MrtStreamReader::MrtStreamReader(std::span<const std::uint8_t> data)
+    : source_("<memory>"), memory_(data), file_size_(data.size()) {}
+
+std::size_t MrtStreamReader::read(std::uint8_t* dst, std::size_t n) {
+  if (!in_.is_open()) {
+    const std::size_t got = std::min(n, memory_.size());
+    std::copy_n(memory_.begin(), got, dst);
+    memory_ = memory_.subspan(got);
+    return got;
+  }
+  // lint: allow(raw-cast) istream::read takes char*; callers pass a header
+  // buffer or a body whose length was bounded against the file size
+  in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  if (got < n && !in_.eof()) {
+    throw Error("read from '" + source_ + "' failed at byte " + std::to_string(bytes_));
+  }
+  return got;
+}
+
 std::optional<RawFramedRecord> MrtStreamReader::next() {
   constexpr std::size_t kHeaderBytes = 12;
   std::uint8_t header[kHeaderBytes];
-  // lint: allow(raw-cast) istream::read takes char*; the bytes are decoded
-  // through ByteReader afterwards, never via pointer casts
-  in_.read(reinterpret_cast<char*>(header), kHeaderBytes);
-  const std::streamsize got = in_.gcount();
-  if (got == 0 && in_.eof()) return std::nullopt;  // clean end-of-file
-  if (got < static_cast<std::streamsize>(kHeaderBytes)) {
-    if (in_.eof()) {
-      IngestMetrics::get().decode_error("truncated_header").inc();
-      throw DecodeError("truncated MRT record header at byte " + std::to_string(bytes_) +
-                        " of '" + path_ + "': " + std::to_string(got) + " of 12 bytes");
-    }
-    throw Error("read from '" + path_ + "' failed at byte " + std::to_string(bytes_));
+  const std::size_t got = read(header, kHeaderBytes);
+  if (got == 0) return std::nullopt;  // clean end of input
+  if (got < kHeaderBytes) {
+    IngestMetrics::get().decode_error("truncated_header").inc();
+    throw DecodeError("truncated MRT record header at byte " + std::to_string(bytes_) + " of '" +
+                      source_ + "': " + std::to_string(got) + " of 12 bytes");
   }
 
   ByteReader hdr(std::span<const std::uint8_t>(header, kHeaderBytes));
@@ -123,36 +152,30 @@ std::optional<RawFramedRecord> MrtStreamReader::next() {
   rec.subtype = hdr.u16();
   const std::uint32_t length = hdr.u32();
 
-  // Validate framing against the file size before allocating: a corrupt
-  // length field must fail cleanly, not over-allocate or short-read.  The
-  // size was snapshotted at open, so a file that grows underneath us (a
-  // collector still appending) reads as truncated at the snapshot, not as
+  // Validate framing against the source size before allocating: a corrupt
+  // length field must fail cleanly, not over-allocate or short-read.  A
+  // file's size was snapshotted at open, so a file that grows underneath us
+  // (a collector still appending) reads as truncated at the snapshot, not as
   // an unsigned underflow that would disable this guard.
   const std::uint64_t body_start = bytes_ + kHeaderBytes;
   if (body_start > file_size_) {
     IngestMetrics::get().decode_error("header_overrun").inc();
-    throw DecodeError("MRT record header at byte " + std::to_string(bytes_) + " of '" + path_ +
+    throw DecodeError("MRT record header at byte " + std::to_string(bytes_) + " of '" + source_ +
                       "' extends past the file size observed at open (" +
                       std::to_string(file_size_) + " bytes); file changed while reading?");
   }
   if (length > file_size_ - body_start) {
     IngestMetrics::get().decode_error("body_overrun").inc();
-    throw DecodeError("MRT record at byte " + std::to_string(bytes_) + " of '" + path_ +
+    throw DecodeError("MRT record at byte " + std::to_string(bytes_) + " of '" + source_ +
                       "' declares " + std::to_string(length) + " body bytes but only " +
                       std::to_string(file_size_ - body_start) + " remain");
   }
 
   rec.body.resize(length);
-  // lint: allow(raw-cast) istream::read takes char*; `length` was bounded
-  // against the file size above before the resize
-  in_.read(reinterpret_cast<char*>(rec.body.data()), static_cast<std::streamsize>(length));
-  if (in_.gcount() < static_cast<std::streamsize>(length)) {
-    if (in_.eof()) {  // file shrank under us
-      IngestMetrics::get().decode_error("truncated_body").inc();
-      throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
-                        " of '" + path_ + "'");
-    }
-    throw Error("read from '" + path_ + "' failed at byte " + std::to_string(body_start));
+  if (read(rec.body.data(), length) < length) {  // the file shrank under us
+    IngestMetrics::get().decode_error("truncated_body").inc();
+    throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
+                      " of '" + source_ + "'");
   }
 
   bytes_ = body_start + length;
@@ -174,11 +197,9 @@ std::optional<RawFramedRecord> MrtStreamReader::next_update() {
   return std::nullopt;
 }
 
-ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
+ObservedRib rib_from_stream(MrtStreamReader& stream, ThreadPool& pool,
                             std::size_t batch_records) {
   OBS_SPAN("ingest");
-  if (batch_records == 0) batch_records = kStreamBatchRecords;
-  MrtStreamReader stream(path);
   ObservedRib rib;
 
   // Peer-index tables decode inline during the header scan — they are rare
@@ -191,19 +212,26 @@ ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
 
   while (auto raw = stream.next()) {
     if (is_peer_index_table(*raw)) {
-      Record record = decode_record_body(raw->timestamp, raw->type, raw->subtype, raw->body);
+      Record record;
+      try {
+        record = decode(*raw);
+      } catch (const DecodeError&) {
+        IngestMetrics::get().decode_error("record_body").inc();
+        throw;
+      }
       current_peers = std::make_shared<const PeerIndexTable>(
           std::move(std::get<PeerIndexTable>(record.body)));
       continue;
     }
     if (is_rib_record(*raw)) {
       if (current_peers == nullptr) {
+        IngestMetrics::get().decode_error("rib_before_peer_table").inc();
         throw DecodeError("RIB record before any PEER_INDEX_TABLE");
       }
       batch.push_back(PendingRecord{std::move(*raw), current_peers});
     } else {
       // Non-RIB records contribute no routes but still decode (in the batch,
-      // on the pool) so corrupt bytes fail exactly like the in-memory path.
+      // on the pool) so corrupt bytes anywhere in the input fail the ingest.
       batch.push_back(PendingRecord{std::move(*raw), nullptr});
     }
     if (batch.size() >= batch_records) flush_batch(batch, pool, rib);

@@ -3,8 +3,6 @@
 #      temp dir — exit 0, all four artifacts present.
 #   2. `census` on the artifacts — exit 0, key report lines present.
 #   3. `census --jobs 4` — byte-identical output to --jobs 1.
-#   3b. `census --no-stream` (load-all ingest) at --jobs 1 and 4 —
-#       byte-identical to the default streaming ingest.
 #   4. `census` on a missing rib.mrt — non-zero exit, diagnostic names the file.
 #   5. `census` on a truncated rib.mrt — non-zero exit, no partial report
 #      (skipped on hosts without /bin/sh, which is what clips the file).
@@ -17,8 +15,9 @@
 #      without partial output.
 #   7. `generate` argument validation: a garbage seed ("12x") and a trailing
 #      positional argument are both rejected.
-#   8. Unknown options ("--frobnicate", "-x") are rejected with a reasoned
-#      usage error instead of being swallowed as positional file arguments.
+#   8. Unknown options ("--frobnicate", "-x", and the removed "--no-stream")
+#      are rejected with a reasoned usage error instead of being swallowed as
+#      positional file arguments.
 #   9. `query --json` emits the machine-readable shape (the same bytes the
 #      query daemon serves; byte-level identity is proven by
 #      test_server_e2e), in pair, neighbor, and not-found modes; --json on
@@ -84,21 +83,6 @@ endif()
 if(NOT census_j1 STREQUAL census_j4)
   message(FATAL_ERROR "census --jobs 4 output differs from --jobs 1")
 endif()
-
-# ------------------------------------- 3b. streaming / load-all equivalence
-# The default census path streams the MRT file; --no-stream selects the
-# legacy load-all path.  Both must be byte-identical at --jobs 1 and 4.
-foreach(njobs 1 4)
-  execute_process(COMMAND "${HYBRIDTOR}" census --no-stream --jobs ${njobs}
-                          "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
-                  RESULT_VARIABLE rc OUTPUT_VARIABLE census_nostream ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "census --no-stream --jobs ${njobs} failed (rc=${rc}): ${err}")
-  endif()
-  if(NOT census_nostream STREQUAL census_j1)
-    message(FATAL_ERROR "census --no-stream --jobs ${njobs} output differs from streaming")
-  endif()
-endforeach()
 
 # ----------------------------------------------------- 4. missing rib.mrt
 execute_process(COMMAND "${HYBRIDTOR}" census "${DATA_DIR}/no_such.mrt" "${DATA_DIR}/irr.txt"
@@ -321,8 +305,9 @@ endif()
 
 # --------------------------------------------- 8. unknown option rejection
 # A typo'd flag must be a reasoned error, not a silent positional that
-# later fails as "cannot open '--frobnicate'".
-foreach(bad_flag "--frobnicate" "-x")
+# later fails as "cannot open '--frobnicate'".  `--no-stream` selected an
+# ingest path that no longer exists; a script still passing it fails loudly.
+foreach(bad_flag "--frobnicate" "-x" "--no-stream")
   execute_process(COMMAND "${HYBRIDTOR}" census "${bad_flag}"
                           "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

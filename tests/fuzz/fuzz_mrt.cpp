@@ -1,25 +1,75 @@
-// Fuzz target: the MRT record decoder (mrt::read_all / decode_record_body).
+// Fuzz target: the MRT ingest path (mrt::MrtStreamReader framing plus the
+// rib_from_stream decode + join), differentially against the test-side
+// reference join.
 //
-// Contract asserted per input: the whole buffer decodes into records, or a
-// reasoned DecodeError is thrown — no other exception type, no crash, no
-// partial RIB handed back.  Joining the decoded records into an ObservedRib
-// is also exercised so attribute-level garbage (bad AS_PATH segments,
-// malformed NLRI) that only surfaces at join time stays inside the contract.
-#include "fuzz/driver.hpp"
+// Contract asserted per input: the bytes are ingested twice through
+// rib_from_stream over an in-memory MrtStreamReader — at batch size 1 on an
+// inline pool (every record its own flush, so each PEER_INDEX_TABLE is
+// carried across batches) and at the default batch size on a two-worker
+// pool — and once through the reference join (read_all + sequential
+// join_rib_record).  Either all three reject with a reasoned DecodeError, or
+// all three give the same RIB.  Any divergence, any other exception type, or
+// a crash fails the run.
+#include <exception>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
-#include "mrt/reader.hpp"
-#include "mrt/rib_view.hpp"
+#include "fuzz/driver.hpp"
+#include "mrt/stream_reader.hpp"
+#include "reference_join.hpp"
 
 using namespace htor;
 
+namespace {
+
+/// One ingest's result: the RIB, or the DecodeError it rejected with.
+struct Ingest {
+  std::optional<mrt::ObservedRib> rib;
+  std::exception_ptr error;
+  std::string what;
+
+  std::string describe() const { return rib ? "parsed" : "rejected (" + what + ")"; }
+
+  bool same_as(const Ingest& other) const {
+    if (rib.has_value() != other.rib.has_value()) return false;
+    return !rib.has_value() || rib->routes() == other.rib->routes();
+  }
+};
+
+template <typename Run>
+Ingest ingest(Run run) {
+  Ingest out;
+  try {
+    out.rib = run();
+  } catch (const DecodeError& e) {
+    out.error = std::current_exception();
+    out.what = e.what();
+  }
+  return out;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  return fuzz::run_target("fuzz_mrt", argc, argv, [](const std::vector<std::uint8_t>& input) {
-    const auto records = mrt::read_all(input);
-    // A decoded record set must survive the join into an observed RIB; a
-    // throw here is still a reasoned DecodeError by contract.
-    ThreadPool pool(1);
-    const auto rib = mrt::rib_from_records(records, pool);
-    (void)rib;
+  ThreadPool inline_pool(1);
+  ThreadPool pool(2);
+  return fuzz::run_target("fuzz_mrt", argc, argv, [&](const std::vector<std::uint8_t>& input) {
+    const Ingest per_record = ingest([&] {
+      mrt::MrtStreamReader stream(input);
+      return mrt::rib_from_stream(stream, inline_pool, 1);
+    });
+    const Ingest batched = ingest([&] {
+      mrt::MrtStreamReader stream(input);
+      return mrt::rib_from_stream(stream, pool);
+    });
+    const Ingest reference = ingest([&] { return test::reference_rib(input); });
+    if (!per_record.same_as(batched) || !batched.same_as(reference)) {
+      throw std::logic_error("ingest diverged: batch 1 " + per_record.describe() +
+                             ", default batch " + batched.describe() + ", reference " +
+                             reference.describe());
+    }
+    if (!batched.rib) std::rethrow_exception(batched.error);
     return fuzz::Outcome::Parsed;
   });
 }

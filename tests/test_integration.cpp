@@ -7,7 +7,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 
@@ -27,8 +27,9 @@ PipelineResult run_pipeline(std::uint64_t seed) {
   for (const auto& rec : mrt::records_from_rib(net.collect(), 0xc011ec7u, "it", 1281052800u)) {
     writer.write(rec);
   }
+  mrt::MrtStreamReader stream(writer.data());
   ThreadPool pool(1);
-  auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  auto rib = mrt::rib_from_stream(stream, pool);
   auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   auto census = core::run_census(rib, dict);
   return {std::move(net), std::move(rib), std::move(dict), std::move(census)};

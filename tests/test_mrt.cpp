@@ -6,7 +6,9 @@
 
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
+#include "util/bytes.hpp"
 
 namespace htor::mrt {
 namespace {
@@ -14,11 +16,11 @@ namespace {
 Record round_trip(const Record& in) {
   MrtWriter w;
   w.write(in);
-  MrtReader reader(w.data());
+  MrtStreamReader reader(w.data());
   auto out = reader.next();
   EXPECT_TRUE(out.has_value());
   EXPECT_FALSE(reader.next().has_value());
-  return *out;
+  return decode_record_body(out->timestamp, out->type, out->subtype, out->body);
 }
 
 PeerIndexTable sample_pit() {
@@ -105,7 +107,7 @@ TEST(Mrt, TruncatedRecordThrows) {
   w.write(Record{1, sample_pit()});
   auto bytes = w.take();
   bytes.resize(bytes.size() - 3);
-  MrtReader reader(bytes);
+  MrtStreamReader reader(bytes);
   EXPECT_THROW(reader.next(), DecodeError);
 }
 
@@ -114,13 +116,13 @@ TEST(Mrt, SaveAndLoadFile) {
   w.write(Record{1, sample_pit()});
   const std::string path = ::testing::TempDir() + "/htor_test.mrt";
   w.save(path);
-  const auto data = load_file(path);
+  const auto data = load_bytes(path);
   EXPECT_EQ(data, w.data());
   const auto records = read_all(data);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(std::get<PeerIndexTable>(records[0].body), sample_pit());
   std::remove(path.c_str());
-  EXPECT_THROW(load_file("/nonexistent/nope.mrt"), Error);
+  EXPECT_THROW(MrtStreamReader("/nonexistent/nope.mrt"), Error);
 }
 
 // ---- RIB view -----------------------------------------------------------
@@ -155,10 +157,13 @@ TEST(RibView, CountsByFamily) {
   EXPECT_EQ(rib.routes_of(IpVersion::V6)[0]->origin_asn(), 100u);
 }
 
-/// The RIB join on an inline pool.
+/// `records` written as MRT bytes and ingested on an inline pool.
 ObservedRib join(const std::vector<Record>& records) {
+  MrtWriter w;
+  for (const auto& rec : records) w.write(rec);
+  MrtStreamReader stream(w.data());
   ThreadPool pool(1);
-  return rib_from_records(records, pool);
+  return rib_from_stream(stream, pool);
 }
 
 TEST(RibView, MrtRoundTripPreservesRoutes) {
@@ -166,10 +171,7 @@ TEST(RibView, MrtRoundTripPreservesRoutes) {
   const auto records = records_from_rib(rib, 0xc0ffee00u, "rt", 1281052800u);
 
   // Serialize to actual bytes and back.
-  MrtWriter w;
-  for (const auto& rec : records) w.write(rec);
-  const auto parsed = read_all(w.data());
-  const auto out = join(parsed);
+  const auto out = join(records);
 
   ASSERT_EQ(out.size(), rib.size());
   // Order may differ (grouped by prefix); compare as sets.

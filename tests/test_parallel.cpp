@@ -15,6 +15,7 @@
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 #include "util/thread_pool.hpp"
@@ -185,12 +186,15 @@ TEST_F(ParallelFixture, RibJoinMatchesAcrossJobCounts) {
   mrt::MrtWriter writer;
   for (const auto& rec : mrt::records_from_rib(rib(), 1, "par", 0)) writer.write(rec);
   const auto bytes = writer.take();
-  const auto records = mrt::read_all(bytes);
+  const auto join = [&bytes](ThreadPool& pool) {
+    mrt::MrtStreamReader stream(bytes);
+    return mrt::rib_from_stream(stream, pool);
+  };
 
   ThreadPool one(1);
-  const auto sequential = mrt::rib_from_records(records, one);
+  const auto sequential = join(one);
   ThreadPool pool(4);
-  const auto sharded = mrt::rib_from_records(records, pool);
+  const auto sharded = join(pool);
   ASSERT_EQ(sharded.size(), sequential.size());
   EXPECT_EQ(sharded.size_of(IpVersion::V6), sequential.size_of(IpVersion::V6));
   // Route order must match the inline join exactly.

@@ -4,9 +4,12 @@
 // crashing or looping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "bgp/message.hpp"
 #include "core/pipeline.hpp"
@@ -15,6 +18,7 @@
 #include "mrt/rib_view.hpp"
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace htor {
@@ -31,15 +35,36 @@ std::vector<std::uint8_t> valid_update_bytes() {
   return bgp::encode_message(update);
 }
 
-std::vector<std::uint8_t> valid_mrt_bytes() {
+/// A PEER_INDEX_TABLE and the RIB records after it: enough structure, small
+/// enough to sweep.
+std::vector<mrt::Record> valid_mrt_records() {
   const auto net = gen::SyntheticInternet::generate(gen::small_params(17));
+  auto records = mrt::records_from_rib(net.collect(), 1, "rb", 0);
+  records.resize(std::min<std::size_t>(records.size(), 40));
+  return records;
+}
+
+std::vector<std::uint8_t> encode(const std::vector<mrt::Record>& records) {
   mrt::MrtWriter writer;
-  std::size_t written = 0;
-  for (const auto& rec : mrt::records_from_rib(net.collect(), 1, "rb", 0)) {
-    writer.write(rec);
-    if (++written >= 40) break;  // enough structure, small enough to sweep
-  }
+  for (const auto& rec : records) writer.write(rec);
   return writer.take();
+}
+
+std::vector<std::uint8_t> valid_mrt_bytes() { return encode(valid_mrt_records()); }
+
+/// The one ingest path over an in-memory buffer.
+mrt::ObservedRib ingest(const std::vector<std::uint8_t>& bytes, ThreadPool& pool) {
+  mrt::MrtStreamReader stream(bytes);
+  return mrt::rib_from_stream(stream, pool);
+}
+
+/// Write `bytes` to a temp file named `name`; returns its path.
+std::string write_temp(const std::vector<std::uint8_t>& bytes, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  EXPECT_TRUE(out);
+  out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
+  return path;
 }
 
 // Truncation at every possible length: parse or throw, never hang/crash.
@@ -60,10 +85,8 @@ TEST(Robustness, MrtTruncationSweep) {
   // Sweep cut points across the first few records densely, then stride.
   for (std::size_t len = 1; len < bytes.size(); len += (len < 4096 ? 7 : 997)) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
-    mrt::MrtReader reader(cut);
     try {
-      while (reader.next()) {
-      }
+      (void)mrt::read_all(cut);
       // Clean EOF is acceptable when the cut fell on a record boundary.
     } catch (const DecodeError&) {
       // Expected for mid-record cuts.
@@ -72,14 +95,15 @@ TEST(Robustness, MrtTruncationSweep) {
 }
 
 // Record *header* corruption mid-file (the earlier sweeps mostly land in
-// bodies): both readers must raise a clean DecodeError — never silently stop
-// or hand back a partial RIB.
+// bodies): the reader and the ingest over it must raise a clean DecodeError,
+// from memory and from a file — never silently stop or hand back a partial
+// RIB.
 TEST(Robustness, TruncatedHeaderMidFileThrows) {
   auto bytes = valid_mrt_bytes();
   // 7 stray bytes after the last valid record: a header cut short.
   bytes.insert(bytes.end(), {0x12, 0x34, 0x56, 0x78, 0x00, 0x0d, 0x00});
 
-  mrt::MrtReader reader(bytes);
+  mrt::MrtStreamReader reader(bytes);
   EXPECT_THROW(
       {
         while (reader.next()) {
@@ -87,16 +111,11 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
       },
       DecodeError);
   ThreadPool pool(1);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
+  EXPECT_THROW(ingest(bytes, pool), DecodeError);
 
-  // Same file on disk through the streaming reader.
-  const std::string path = ::testing::TempDir() + "/trunc_header.mrt";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out);
-    out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
-  }
-  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
+  // Same bytes on disk.
+  const std::string path = write_temp(bytes, "trunc_header.mrt");
+  EXPECT_THROW(core::load_rib(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -106,7 +125,7 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
   bytes.insert(bytes.end(),
                {0x00, 0x00, 0x00, 0x01, 0x00, 0x0d, 0x00, 0x02, 0xff, 0xff, 0xff, 0xfe});
 
-  mrt::MrtReader reader(bytes);
+  mrt::MrtStreamReader reader(bytes);
   EXPECT_THROW(
       {
         while (reader.next()) {
@@ -114,22 +133,17 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
       },
       DecodeError);
   ThreadPool pool(1);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
+  EXPECT_THROW(ingest(bytes, pool), DecodeError);
 
-  const std::string path = ::testing::TempDir() + "/garbage_header.mrt";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out);
-    out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
-  }
-  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
+  const std::string path = write_temp(bytes, "garbage_header.mrt");
+  EXPECT_THROW(core::load_rib(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
 // Regression for the census fail-fast path: a RIB dump truncated mid-record
-// must abort the load -> parse -> join pipeline with DecodeError instead of
-// yielding a partially parsed RIB.  This is the exact code path `hybridtor
-// census` runs on its <rib.mrt> argument, including the on-disk round trip.
+// must abort the ingest with DecodeError instead of yielding a partially
+// parsed RIB.  This is the exact code path `hybridtor census` runs on its
+// <rib.mrt> argument, including the on-disk round trip.
 TEST(Robustness, TruncatedRibFileFailsFast) {
   const auto bytes = valid_mrt_bytes();
   const std::string path = ::testing::TempDir() + "/truncated_rib.mrt";
@@ -143,11 +157,10 @@ TEST(Robustness, TruncatedRibFileFailsFast) {
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(cut));
   }
 
-  const auto data = mrt::load_file(path);
-  ASSERT_EQ(data.size(), cut);
+  ASSERT_EQ(mrt::MrtStreamReader(path).file_size(), cut);
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(jobs);
-    EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError) << jobs;
+    EXPECT_THROW(core::load_rib(path, pool), DecodeError) << jobs;
   }
 
   std::remove(path.c_str());
@@ -177,8 +190,8 @@ std::vector<std::uint8_t> with_trailing_body_bytes(std::vector<std::uint8_t> byt
 }
 
 // Regression: PEER_INDEX_TABLE and RIB bodies with bytes left over after the
-// last entry were accepted (the route count still came out right).  Both
-// ingest paths must reject them, naming the record type and the leftovers.
+// last entry were accepted (the route count still came out right).  The
+// ingest must reject them, naming the record type and the leftovers.
 TEST(Robustness, TrailingBytesInTableDumpBodiesRejected) {
   const std::pair<std::uint16_t, const char*> cases[] = {
       {static_cast<std::uint16_t>(mrt::TableDumpV2Subtype::PeerIndexTable), "PEER_INDEX_TABLE"},
@@ -186,26 +199,79 @@ TEST(Robustness, TrailingBytesInTableDumpBodiesRejected) {
   };
   for (const auto& [subtype, name] : cases) {
     const auto bytes = with_trailing_body_bytes(valid_mrt_bytes(), subtype);
-    const std::string path = ::testing::TempDir() + "/trailing_" + name + ".mrt";
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(out);
-      out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
-    }
-    for (const bool streaming : {true, false}) {
-      ThreadPool pool(1);
-      core::IngestOptions options;
-      options.streaming = streaming;
-      try {
-        (void)core::load_rib(path, pool, options);
-        ADD_FAILURE() << name << " with trailing bytes accepted (streaming=" << streaming << ")";
-      } catch (const DecodeError& e) {
-        const std::string reason = e.what();
-        EXPECT_NE(reason.find(name), std::string::npos) << reason;
-        EXPECT_NE(reason.find("3 left over"), std::string::npos) << reason;
-      }
+    const std::string path = write_temp(bytes, std::string("trailing_") + name + ".mrt");
+    ThreadPool pool(1);
+    try {
+      (void)core::load_rib(path, pool);
+      ADD_FAILURE() << name << " with trailing bytes accepted";
+    } catch (const DecodeError& e) {
+      const std::string reason = e.what();
+      EXPECT_NE(reason.find(name), std::string::npos) << reason;
+      EXPECT_NE(reason.find("3 left over"), std::string::npos) << reason;
     }
     std::remove(path.c_str());
+  }
+}
+
+/// htor_ingest_decode_errors_total summed over every reason label.
+std::uint64_t decode_errors_total() {
+  constexpr std::string_view kFamily = "htor_ingest_decode_errors_total{";
+  std::uint64_t total = 0;
+  std::istringstream exposition(obs::MetricsRegistry::global().render_prometheus());
+  for (std::string line; std::getline(exposition, line);) {
+    if (line.rfind(kFamily, 0) == 0) total += std::stoull(line.substr(line.rfind(' ') + 1));
+  }
+  return total;
+}
+
+// Regression: only a malformed RIB body moved htor_ingest_decode_errors_total
+// (once per failed decode shard, so two bad records could count twice); a
+// malformed PEER_INDEX_TABLE, a RIB record before any PEER_INDEX_TABLE and an
+// out-of-range peer index aborted the ingest without a trace.  Every
+// rejection now counts exactly once, under its reason.
+TEST(Robustness, EveryIngestRejectionCountedOnce) {
+  struct Case {
+    const char* what;
+    const char* reason;
+    std::vector<std::uint8_t> bytes;
+  };
+  const auto records = valid_mrt_records();
+  ASSERT_EQ(records.size(), 40u);
+  std::vector<Case> cases;
+  {
+    // Two RIB records whose bodies do not decode, far enough apart to land
+    // in different decode shards.
+    auto bad = records;
+    bad[5].body = mrt::RawRecord{13, 2, {0xde, 0xad}};
+    bad[30].body = mrt::RawRecord{13, 2, {0xbe, 0xef}};
+    cases.push_back({"malformed RIB bodies", "record_body", encode(bad)});
+  }
+  cases.push_back(
+      {"malformed PEER_INDEX_TABLE", "record_body",
+       with_trailing_body_bytes(valid_mrt_bytes(),
+                                static_cast<std::uint16_t>(mrt::TableDumpV2Subtype::PeerIndexTable))});
+  cases.push_back(
+      {"RIB record before any PEER_INDEX_TABLE", "rib_before_peer_table", encode({records[1]})});
+  {
+    auto bad = records;
+    std::get<mrt::RibPrefixRecord>(bad[3].body).entries.at(0).peer_index = 60000;
+    cases.push_back({"peer index out of range", "peer_index_out_of_range", encode(bad)});
+  }
+
+  auto& registry = obs::MetricsRegistry::global();
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    for (const Case& c : cases) {
+      const obs::Labels labels = {{"reason", c.reason}};
+      const std::uint64_t total_before = decode_errors_total();
+      const std::uint64_t reason_before =
+          registry.counter_value("htor_ingest_decode_errors_total", labels);
+      EXPECT_THROW(ingest(c.bytes, pool), DecodeError) << c.what;
+      EXPECT_EQ(decode_errors_total() - total_before, 1u) << c.what << " jobs=" << jobs;
+      EXPECT_EQ(registry.counter_value("htor_ingest_decode_errors_total", labels) - reason_before,
+                1u)
+          << c.what << " jobs=" << jobs;
+    }
   }
 }
 
@@ -241,10 +307,11 @@ TEST_P(MrtCorruption, SingleByteFlips) {
     auto bytes = original;
     const std::size_t pos = rng.index(bytes.size());
     bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
-    mrt::MrtReader reader(bytes);
+    mrt::MrtStreamReader reader(bytes);
     try {
       std::size_t records = 0;
-      while (reader.next()) {
+      while (const auto frame = reader.next()) {
+        (void)mrt::decode_record_body(frame->timestamp, frame->type, frame->subtype, frame->body);
         // Defensive bound: corruption must not manufacture unbounded output.
         ASSERT_LT(++records, 100000u);
       }
@@ -267,7 +334,7 @@ TEST(Robustness, RibJoinOnCorruptedDumps) {
     }
     try {
       ThreadPool pool(1);
-      const auto rib = mrt::rib_from_records(mrt::read_all(bytes), pool);
+      const auto rib = ingest(bytes, pool);
       (void)rib;
     } catch (const DecodeError&) {
     } catch (const InvalidArgument&) {

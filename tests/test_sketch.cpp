@@ -9,8 +9,8 @@
 //     sequential feed — at every shard count and every --jobs value;
 //   * estimates stay within the repo's 2%-of-exact acceptance bound at
 //     10k / 100k / 1M items on pinned seeds;
-//   * ingest feeds no sketch: loading a RIB by either ingest path, at any
-//     --jobs, leaves the Telemetry snapshot exactly as reset() left it.
+//   * ingest feeds no sketch: loading a RIB at any --jobs leaves the
+//     Telemetry snapshot exactly as reset() left it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -219,9 +219,8 @@ TEST(Telemetry, LinkIdentityIsDirectionless) {
 }
 
 // Regression: ingest used to feed three HLLs and a CMS per route and a
-// mutex-guarded Bloom per AS hop.  Loading a RIB by either ingest path, at
-// --jobs 1 and 4, must now leave the process telemetry exactly as reset()
-// left it.
+// mutex-guarded Bloom per AS hop.  Loading a RIB at --jobs 1 and 4 must now
+// leave the process telemetry exactly as reset() left it.
 TEST(Telemetry, IngestLeavesTelemetryUntouched) {
   const auto rib = gen::SyntheticInternet::generate(gen::small_params(7)).collect();
   mrt::MrtWriter writer;
@@ -240,14 +239,10 @@ TEST(Telemetry, IngestLeavesTelemetryUntouched) {
   telemetry.reset();
   const Telemetry::Snapshot fresh = telemetry.snapshot();
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool streaming : {true, false}) {
-      ThreadPool pool(jobs);
-      core::IngestOptions options;
-      options.streaming = streaming;
-      const auto loaded = core::load_rib(path, pool, options);
-      EXPECT_EQ(loaded.size(), rib.size());
-      EXPECT_EQ(telemetry.snapshot(), fresh) << "jobs=" << jobs << " streaming=" << streaming;
-    }
+    ThreadPool pool(jobs);
+    const auto loaded = core::load_rib(path, pool);
+    EXPECT_EQ(loaded.size(), rib.size());
+    EXPECT_EQ(telemetry.snapshot(), fresh) << "jobs=" << jobs;
   }
   std::remove(path.c_str());
 }

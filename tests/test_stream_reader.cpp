@@ -1,17 +1,20 @@
-// Tests for the streaming MRT ingest path: framing equivalence with the
-// in-memory reader, byte-identical RIBs at any pool size and batch size, and
-// clean DecodeError on truncated or garbage framing — never a partial RIB.
+// Tests for the one MRT ingest path: the framer gives identical frames from
+// a file and from memory, rib_from_stream equals the test-side reference
+// join at any pool size, batch size and source, and truncated or garbage
+// framing fails with a clean DecodeError — never a partial RIB.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
+#include "core/pipeline.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
+#include "reference_join.hpp"
 
 namespace htor::mrt {
 namespace {
@@ -37,31 +40,77 @@ std::string write_temp(const std::vector<std::uint8_t>& bytes, const std::string
   return path;
 }
 
+/// Every frame of `stream`, or DecodeError at the first framing fault.
+std::vector<RawFramedRecord> all_frames(MrtStreamReader& stream) {
+  std::vector<RawFramedRecord> frames;
+  while (auto frame = stream.next()) frames.push_back(std::move(*frame));
+  return frames;
+}
+
+/// rib_from_stream over the file at `path`.
+ObservedRib stream_file(const std::string& path, ThreadPool& pool,
+                        std::size_t batch = kStreamBatchRecords) {
+  MrtStreamReader stream(path);
+  return rib_from_stream(stream, pool, batch);
+}
+
+/// rib_from_stream over an in-memory buffer.
+ObservedRib stream_memory(const std::vector<std::uint8_t>& bytes, ThreadPool& pool,
+                          std::size_t batch = kStreamBatchRecords) {
+  MrtStreamReader stream(bytes);
+  return rib_from_stream(stream, pool, batch);
+}
+
+/// Offset of the first record boundary at or past the middle of `bytes`.
+std::size_t mid_boundary(const std::vector<std::uint8_t>& bytes) {
+  MrtStreamReader probe(bytes);
+  while (probe.bytes_read() < bytes.size() / 2 && probe.next()) {
+  }
+  return probe.bytes_read();
+}
+
+// The file and memory sources frame identically: same frames, same counters.
 TEST(MrtStreamReader, FramesMatchInMemoryReader) {
   const auto& bytes = sample_dump();
   const std::string path = write_temp(bytes, "stream_frames.mrt");
 
-  const auto records = read_all(bytes);
-  MrtStreamReader stream(path);
-  std::size_t i = 0;
-  while (auto framed = stream.next()) {
-    ASSERT_LT(i, records.size());
-    const Record decoded =
-        decode_record_body(framed->timestamp, framed->type, framed->subtype, framed->body);
-    EXPECT_EQ(decoded, records[i]) << "record " << i;
-    ++i;
+  MrtStreamReader file(path);
+  MrtStreamReader memory(bytes);
+  const auto file_frames = all_frames(file);
+  const auto memory_frames = all_frames(memory);
+  ASSERT_EQ(file_frames.size(), read_all(bytes).size());
+  EXPECT_EQ(file_frames, memory_frames);
+  for (const MrtStreamReader* stream : {&file, &memory}) {
+    EXPECT_EQ(stream->records_read(), file_frames.size());
+    EXPECT_EQ(stream->bytes_read(), bytes.size());
+    EXPECT_EQ(stream->file_size(), bytes.size());
   }
-  EXPECT_EQ(i, records.size());
-  EXPECT_EQ(stream.records_read(), records.size());
-  EXPECT_EQ(stream.bytes_read(), bytes.size());
-  EXPECT_EQ(stream.file_size(), bytes.size());
   std::remove(path.c_str());
+
+  // Both sources reject the same malformed framing.
+  const std::size_t boundary = mid_boundary(bytes);
+  ASSERT_GT(boundary, 0u);
+  std::vector<std::uint8_t> truncated_header(bytes.begin(),
+                                             bytes.begin() + static_cast<long>(boundary));
+  truncated_header.insert(truncated_header.end(), {0x4c, 0x3a, 0x5e, 0x00, 0x00});
+  auto garbage_length = bytes;
+  garbage_length.insert(garbage_length.end(), {0x00, 0x00, 0x00, 0x01, 0x00, 0x0d, 0x00, 0x02,
+                                               0xff, 0xff, 0xff, 0xff});
+  std::vector<std::uint8_t> truncated_body(bytes.begin(), bytes.end() - 7);
+  for (const auto& bad : {truncated_header, garbage_length, truncated_body}) {
+    const std::string bad_path = write_temp(bad, "stream_bad_frames.mrt");
+    MrtStreamReader bad_file(bad_path);
+    MrtStreamReader bad_memory(bad);
+    EXPECT_THROW(all_frames(bad_file), DecodeError) << bad.size() << " bytes";
+    EXPECT_THROW(all_frames(bad_memory), DecodeError) << bad.size() << " bytes";
+    std::remove(bad_path.c_str());
+  }
 }
 
 TEST(MrtStreamReader, MissingFileThrows) {
   EXPECT_THROW(MrtStreamReader("/nonexistent/nope.mrt"), Error);
   ThreadPool pool(1);
-  EXPECT_THROW(rib_from_stream("/nonexistent/nope.mrt", pool), Error);
+  EXPECT_THROW(core::load_rib("/nonexistent/nope.mrt", pool), Error);
 }
 
 TEST(MrtStreamReader, EmptyFileIsCleanEof) {
@@ -69,7 +118,8 @@ TEST(MrtStreamReader, EmptyFileIsCleanEof) {
   MrtStreamReader stream(path);
   EXPECT_FALSE(stream.next().has_value());
   ThreadPool pool(1);
-  EXPECT_EQ(rib_from_stream(path, pool).size(), 0u);
+  EXPECT_EQ(stream_file(path, pool).size(), 0u);
+  EXPECT_EQ(stream_memory({}, pool).size(), 0u);
   std::remove(path.c_str());
 }
 
@@ -79,11 +129,7 @@ TEST(MrtStreamReader, TruncatedHeaderMidFileThrows) {
   const auto& all = sample_dump();
   // Find a record boundary roughly halfway into the dump, keep the records
   // before it, and append 5 stray bytes — a header cut short mid-file.
-  std::size_t boundary = 0;
-  MrtReader probe(all);
-  while (boundary < all.size() / 2 && probe.next()) {
-    boundary = all.size() - probe.remaining();
-  }
+  const std::size_t boundary = mid_boundary(all);
   ASSERT_GT(boundary, 0u);
   ASSERT_LT(boundary, all.size());
   std::vector<std::uint8_t> aligned(all.begin(), all.begin() + static_cast<long>(boundary));
@@ -98,7 +144,7 @@ TEST(MrtStreamReader, TruncatedHeaderMidFileThrows) {
       },
       DecodeError);
   ThreadPool pool(4);
-  EXPECT_THROW(rib_from_stream(path, pool), DecodeError);
+  EXPECT_THROW(stream_file(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -120,29 +166,34 @@ TEST(MrtStreamReader, GarbageLengthFieldThrows) {
       },
       DecodeError);
   ThreadPool pool(1);
-  EXPECT_THROW(rib_from_stream(path, pool), DecodeError);
+  EXPECT_THROW(stream_file(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
-// The heart of the tentpole: rib_from_stream == rib_from_records, route for
-// route, at several pool sizes and batch sizes (including batches far
-// smaller than the record count, forcing many flushes).
+// rib_from_stream equals the reference join, route for route, at several
+// pool sizes and batch sizes (including batches far smaller than the record
+// count, forcing many flushes), from a file and from memory.
 TEST(RibFromStream, IdenticalToInMemoryJoin) {
   const auto& bytes = sample_dump();
   const std::string path = write_temp(bytes, "stream_equiv.mrt");
-  ThreadPool inline_pool(1);
-  const ObservedRib reference = rib_from_records(read_all(bytes), inline_pool);
+  const ObservedRib reference = test::reference_rib(bytes);
+  ASSERT_GT(reference.size(), 0u);
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{7}, kStreamBatchRecords}) {
       ThreadPool pool(jobs);
-      const ObservedRib streamed = rib_from_stream(path, pool, batch);
-      ASSERT_EQ(streamed.size(), reference.size()) << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(streamed.size_of(IpVersion::V4), reference.size_of(IpVersion::V4));
-      EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size_of(IpVersion::V6));
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(streamed.routes()[i], reference.routes()[i])
-            << "route " << i << " jobs=" << jobs << " batch=" << batch;
+      for (const bool from_file : {true, false}) {
+        const ObservedRib streamed =
+            from_file ? stream_file(path, pool, batch) : stream_memory(bytes, pool, batch);
+        const std::string where = "jobs=" + std::to_string(jobs) +
+                                  " batch=" + std::to_string(batch) +
+                                  (from_file ? " file" : " memory");
+        ASSERT_EQ(streamed.size(), reference.size()) << where;
+        EXPECT_EQ(streamed.size_of(IpVersion::V4), reference.size_of(IpVersion::V4)) << where;
+        EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size_of(IpVersion::V6)) << where;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          ASSERT_EQ(streamed.routes()[i], reference.routes()[i]) << "route " << i << " " << where;
+        }
       }
     }
   }
@@ -216,8 +267,7 @@ TEST(MrtStreamReaderUpdates, TruncatedUpdateStreamThrows) {
   std::remove(path.c_str());
 }
 
-// An orphan RIB record (no PEER_INDEX_TABLE yet) fails identically to the
-// in-memory path.
+// An orphan RIB record (no PEER_INDEX_TABLE yet) is rejected.
 TEST(RibFromStream, RejectsRibBeforePeerTable) {
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
@@ -226,7 +276,7 @@ TEST(RibFromStream, RejectsRibBeforePeerTable) {
   w.write(Record{0, rib});
   const std::string path = write_temp(w.take(), "stream_orphan.mrt");
   ThreadPool pool(1);
-  EXPECT_THROW(rib_from_stream(path, pool), DecodeError);
+  EXPECT_THROW(stream_file(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -240,19 +290,19 @@ TEST(RibFromStream, TruncationSweepNeverYieldsPartialRib) {
     const std::string path = write_temp(cut, "stream_cut.mrt");
     std::optional<ObservedRib> streamed;
     try {
-      streamed = rib_from_stream(path, pool);
+      streamed = stream_file(path, pool);
     } catch (const DecodeError&) {
       // Expected for mid-record cuts.
     }
     if (streamed.has_value()) {
       // A clean streamed parse is only legal when the cut fell on a record
-      // boundary — the in-memory path must then parse too and agree.  The
-      // reference runs OUTSIDE the try above so a streaming-accepts /
-      // in-memory-rejects divergence fails loudly instead of being
+      // boundary — the reference join must then parse too and agree.  It
+      // runs OUTSIDE the try above so a streaming-accepts /
+      // reference-rejects divergence fails loudly instead of being
       // swallowed by the catch.
-      ObservedRib in_memory;
-      ASSERT_NO_THROW(in_memory = rib_from_records(read_all(cut), pool)) << "cut at " << len;
-      EXPECT_EQ(streamed->size(), in_memory.size()) << "cut at " << len;
+      ObservedRib reference;
+      ASSERT_NO_THROW(reference = test::reference_rib(cut)) << "cut at " << len;
+      EXPECT_EQ(streamed->routes(), reference.routes()) << "cut at " << len;
     }
     std::remove(path.c_str());
   }

@@ -58,9 +58,7 @@
 //
 // `census` ingests the MRT file by streaming it: headers are scanned
 // sequentially, record bodies decode in parallel batches, and routes join
-// straight into the RIB, so peak memory stays one batch deep instead of
-// ~3× the decoded RIB.  `--no-stream` selects the legacy load-all path;
-// both paths produce byte-identical reports.
+// straight into the RIB, so peak memory stays one batch deep.
 //
 // `census --stats` and `follow --stats` append an end-of-run stage-timing
 // table (ingest, decode, apply, census sub-stages, snapshot write; for
@@ -161,8 +159,8 @@ std::optional<std::uint16_t> parse_port(const std::string& value) {
 int usage() {
   std::cerr << "usage:\n"
                "  hybridtor generate [--update-events N] [--scale N] <outdir> [seed]\n"
-               "  hybridtor census [--jobs N] [--no-stream] [--snapshot-out <file>]\n"
-               "                   [--stats] [--trace-out <file>] <rib.mrt> <irr.txt>\n"
+               "  hybridtor census [--jobs N] [--snapshot-out <file>] [--stats]\n"
+               "                   [--trace-out <file>] <rib.mrt> <irr.txt>\n"
                "  hybridtor inspect <rib.mrt>\n"
                "  hybridtor diff <a.snap> <b.snap>\n"
                "  hybridtor query [--json] <snap> <asn> [asn2]\n"
@@ -352,17 +350,15 @@ std::size_t count_distinct_prefixes(const mrt::ObservedRib& rib) {
 }
 
 int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::size_t jobs,
-               bool streaming, const std::optional<std::string>& snapshot_out, bool stats,
+               const std::optional<std::string>& snapshot_out, bool stats,
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
   // Fail fast on unreadable or truncated input: no partial census is ever
   // printed — the single diagnostic below names the file and the reason.
   ThreadPool pool(jobs);
-  core::IngestOptions ingest;
-  ingest.streaming = streaming;
   mrt::ObservedRib rib;
   try {
-    rib = core::load_rib(mrt_path, pool, ingest);
+    rib = core::load_rib(mrt_path, pool);
   } catch (const Error& e) {
     throw Error("census aborted: " + mrt_path + ": " + e.what());
   }
@@ -823,7 +819,6 @@ int main(int argc, char** argv) {
   // file would turn a typo into a confusing "cannot open" failure later.
   std::vector<std::string> args;
   std::optional<std::size_t> jobs;
-  bool streaming = true;
   bool json = false;
   bool stats = false;
   bool follow = false;
@@ -836,10 +831,6 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> scale;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-stream") {
-      streaming = false;
-      continue;
-    }
     if (arg == "--follow") {
       follow = true;
       continue;
@@ -1024,8 +1015,7 @@ int main(int argc, char** argv) {
       return cmd_generate(args[1], seed, update_events.value_or(0), scale.value_or(0));
     }
     if (cmd == "census" && args.size() == 3) {
-      return cmd_census(args[1], args[2], jobs.value_or(1), streaming, snapshot_out, stats,
-                        trace_out);
+      return cmd_census(args[1], args[2], jobs.value_or(1), snapshot_out, stats, trace_out);
     }
     if (cmd == "inspect" && args.size() == 2) return cmd_inspect(args[1]);
     if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
