@@ -55,9 +55,9 @@ int main() {
   core::InferenceConfig no_te_filter;
   no_te_filter.rosetta.filter_te = false;
 
-  const auto inf_comm = core::infer_relationships(ds.rib, ds.dict, comm_only);
-  const auto inf_full = core::infer_relationships(ds.rib, ds.dict, full);
-  const auto inf_note = core::infer_relationships(ds.rib, ds.dict, no_te_filter);
+  const auto inf_comm = core::infer_relationships(ds.rib, ds.dict, comm_only, pool);
+  const auto inf_full = core::infer_relationships(ds.rib, ds.dict, full, pool);
+  const auto inf_note = core::infer_relationships(ds.rib, ds.dict, no_te_filter, pool);
 
   // Baselines (AF-agnostic over mixed paths, applied to both planes).
   const auto gao = baselines::infer_gao(mixed);

@@ -126,8 +126,7 @@ BENCHMARK(BM_CommunityInference);
 void BM_InferRelationships(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(jobs);
-  core::InferenceConfig config;
-  config.threads = jobs;
+  const core::InferenceConfig config;
   for (auto _ : state) {
     auto result = core::infer_relationships(bits().rib, bits().dict, config, pool);
     benchmark::DoNotOptimize(result);
@@ -140,10 +139,9 @@ BENCHMARK(BM_InferRelationships)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // Full census (path stores, inference, hybrids, valley census) across job
 // counts; reports are byte-identical, only wall time changes.
 void BM_RunCensus(benchmark::State& state) {
-  core::InferenceConfig config;
-  config.threads = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto report = core::run_census(bits().rib, bits().dict, config);
+    auto report = core::run_census(bits().rib, bits().dict, core::InferenceConfig{}, pool);
     benchmark::DoNotOptimize(report);
   }
   state.counters["jobs"] = static_cast<double>(state.range(0));
@@ -377,7 +375,8 @@ BENCHMARK(BM_PipelineThroughput)->Arg(2)->Arg(1024)->UseRealTime();
 /// Census snapshot of the shared dataset, built once.
 const snapshot::Snapshot& snapshot_fixture() {
   static const snapshot::Snapshot snap = [] {
-    const auto report = core::run_census(bits().rib, bits().dict);
+    ThreadPool pool(1);
+    const auto report = core::run_census(bits().rib, bits().dict, core::InferenceConfig{}, pool);
     return core::to_snapshot(report, "bench/rib.mrt", 1281052800u);
   }();
   return snap;

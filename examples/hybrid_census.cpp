@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(1);
   const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto census = core::run_census(rib, dict);
+  const auto census = core::run_census(rib, dict, {}, pool);
 
   std::cout << "\n===== dataset =====\n";
   Table ds({"metric", "value"});

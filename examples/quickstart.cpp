@@ -44,7 +44,7 @@ int main() {
             << dict.documented_asns().size() << " documented ASes\n";
 
   // 4. The paper's census.
-  const auto census = core::run_census(rib, dict);
+  const auto census = core::run_census(rib, dict, {}, pool);
   std::cout << "\n--- census ---\n";
   std::cout << "IPv6 AS paths:        " << census.v6_paths << "\n";
   std::cout << "IPv6 AS links:        " << census.v6_links << " ("

@@ -6,12 +6,6 @@
 namespace htor::core {
 
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
-                        const InferenceConfig& config) {
-  ThreadPool pool(config.threads);
-  return run_census(rib, dict, config, pool);
-}
-
-CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool) {
   OBS_SPAN("census");
   return census_back(census_front(rib, dict, config, pool), dict, config, pool);

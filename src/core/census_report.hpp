@@ -64,11 +64,8 @@ CensusFront census_front(const mrt::ObservedRib& rib, const rpsl::CommunityDicti
 CensusReport census_back(CensusFront front, const rpsl::CommunityDictionary& dict,
                          const InferenceConfig& config, ThreadPool& pool);
 
-CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
-                        const InferenceConfig& config = {});
-
-/// Same census on the caller's pool (config.threads is ignored; the pool's
-/// size decides the parallelism): census_front, then census_back.
+/// The whole census on the caller's pool (the pool's size decides the
+/// parallelism, never the output): census_front, then census_back.
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool);
 

@@ -5,7 +5,6 @@
 
 #include "core/parallel.hpp"
 #include "mrt/stream_reader.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace htor::core {
@@ -36,13 +35,6 @@ CommunityVotes collect_votes(std::vector<std::future<CommunityVotes>>& futures,
 
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
-                                          const InferenceConfig& config) {
-  ThreadPool pool(config.threads);
-  return infer_relationships(rib, dict, config, pool);
-}
-
-InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
-                                          const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool) {
   const auto v4_routes = rib.routes_of(IpVersion::V4);
   const auto v6_routes = rib.routes_of(IpVersion::V6);
@@ -50,11 +42,20 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                           v4_routes, v6_routes, dict, config, pool);
 }
 
-void add_link_votes(LinkVoteFeed& feed, const LinkKey& key,
-                    const std::array<std::uint32_t, 4>& votes) {
+void TopLinkVotes::offer(const LinkKey& link, std::uint64_t votes) {
+  const auto before = [](const LinkVotes& a, const LinkVotes& b) {
+    return a.votes != b.votes ? a.votes > b.votes : a.link < b.link;
+  };
+  const LinkVotes item{link, votes};
+  if (votes == 0 || (top_.size() == kTopLinkVotes && !before(item, top_.back()))) return;
+  top_.insert(std::upper_bound(top_.begin(), top_.end(), item, before), item);
+  if (top_.size() > kTopLinkVotes) top_.pop_back();
+}
+
+std::uint64_t vote_total(const std::array<std::uint32_t, 4>& votes) {
   std::uint64_t total = 0;
   for (const std::uint32_t n : votes) total += n;
-  if (total > 0) feed.emplace_back(obs::sketch::link_item(key.first, key.second), total);
+  return total;
 }
 
 CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*>& v4_routes,
@@ -79,13 +80,17 @@ CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*
   if (first_error) std::rethrow_exception(first_error);
 
   CommunityInference out;
-  out.link_votes.reserve(v4_votes.votes.size() + v6_votes.votes.size());
-  for (const CommunityVotes* family : {&v4_votes, &v6_votes}) {
-    for (const auto& [key, tallies] : family->votes) add_link_votes(out.link_votes, key, tallies);
+  // A link voted in both families is offered once, from its v4 entry.
+  TopLinkVotes top;
+  for (const auto& [key, tallies] : v4_votes.votes) {
+    const auto v6 = v6_votes.votes.find(key);
+    top.offer(key, vote_total(tallies) +
+                       (v6 == v6_votes.votes.end() ? 0 : vote_total(v6->second)));
   }
-  // Sorted, so the heavy-hitter candidate set never depends on
-  // unordered_map iteration order (or on the ingest path taken).
-  std::sort(out.link_votes.begin(), out.link_votes.end());
+  for (const auto& [key, tallies] : v6_votes.votes) {
+    if (!v4_votes.votes.contains(key)) top.offer(key, vote_total(tallies));
+  }
+  out.top_link_votes = top.take();
   out.v4 = tally_community_votes(v4_votes, params);
   out.v6 = tally_community_votes(v6_votes, params);
   return out;
@@ -96,8 +101,8 @@ InferredRelationships finish_inference(CommunityInference community,
                                        const std::vector<const mrt::ObservedRoute*>& v6_routes,
                                        const rpsl::CommunityDictionary& dict,
                                        const InferenceConfig& config, ThreadPool& pool) {
-  obs::sketch::Telemetry::global().feed_link_votes(community.link_votes);
   InferredRelationships out;
+  out.top_link_votes = std::move(community.top_link_votes);
   out.community_v4 = std::move(community.v4);
   out.community_v6 = std::move(community.v6);
   out.v4 = out.community_v4.rels;

@@ -20,9 +20,10 @@ struct InferenceConfig {
   CommunityInferenceParams community;
   RosettaParams rosetta;
   bool use_rosetta = true;
-  /// Worker jobs for the census hot paths (ThreadPool semantics: 0 = one
-  /// per hardware thread, 1 = inline/sequential).  Any value produces
-  /// byte-identical results; see core/parallel.hpp.
+  /// Worker jobs for the pool live::IncrementalCensus builds its seed path
+  /// stores on (ThreadPool semantics: 0 = one per hardware thread, 1 =
+  /// inline).  Nothing else reads it: every census entry point runs on the
+  /// caller's pool.  Any value produces byte-identical results.
   std::size_t threads = 1;
 };
 
@@ -42,6 +43,34 @@ struct CoverageStats {
   }
 };
 
+/// One link's community votes, both families summed.
+struct LinkVotes {
+  LinkKey link;
+  std::uint64_t votes = 0;
+
+  friend bool operator==(const LinkVotes&, const LinkVotes&) = default;
+};
+
+/// How many most-voted links a census keeps.
+inline constexpr std::size_t kTopLinkVotes = 10;
+
+/// The exact kTopLinkVotes most-voted links of a stream of (link, votes)
+/// offers: votes descending, then link ascending.  That order is total, so
+/// the result does not depend on the order links are offered in.
+class TopLinkVotes {
+ public:
+  /// Offer one link's total; zero totals are ignored.
+  void offer(const LinkKey& link, std::uint64_t votes);
+  /// The selection, best first.
+  std::vector<LinkVotes> take() { return std::move(top_); }
+
+ private:
+  std::vector<LinkVotes> top_;
+};
+
+/// Sum of one family's vote histogram.
+std::uint64_t vote_total(const std::array<std::uint32_t, 4>& votes);
+
 struct InferredRelationships {
   /// Final relationship maps (communities + Rosetta), one per family.
   RelationshipMap v4;
@@ -51,22 +80,17 @@ struct InferredRelationships {
   CommunityInferenceResult community_v6;
   RosettaResult rosetta_v4;
   RosettaResult rosetta_v6;
+
+  /// The most-voted links, both families summed (TopLinkVotes order).
+  std::vector<LinkVotes> top_link_votes;
 };
 
-/// (obs::sketch::link_item, total votes) of every voted link, both families
-/// together, sorted: the one most-voted-links telemetry feed per census.
-using LinkVoteFeed = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-
-/// Append `key`'s total to a link-vote feed when it has any votes.
-void add_link_votes(LinkVoteFeed& feed, const LinkKey& key,
-                    const std::array<std::uint32_t, 4>& votes);
-
 /// The community half of the inference: both families tallied, plus the
-/// link-vote feed built from the same tallies.
+/// most-voted links read off the same tallies.
 struct CommunityInference {
   CommunityInferenceResult v4;
   CommunityInferenceResult v6;
-  LinkVoteFeed link_votes;
+  std::vector<LinkVotes> top_link_votes;
 };
 
 /// Community inference over each family's routes.  The per-route scans of
@@ -78,24 +102,18 @@ CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*
                                      const rpsl::CommunityDictionary& dict,
                                      const CommunityInferenceParams& params, ThreadPool& pool);
 
-/// The rest of the inference once communities are tallied: feed the
-/// link-vote telemetry, then (with config.use_rosetta) run one Rosetta pass
-/// per family as two pool tasks over the same routes, and let it type only
-/// the links communities left Unknown, v4 first, then v6.
+/// The rest of the inference once communities are tallied: (with
+/// config.use_rosetta) run one Rosetta pass per family as two pool tasks
+/// over the same routes, and let it type only the links communities left
+/// Unknown, v4 first, then v6.
 InferredRelationships finish_inference(CommunityInference community,
                                        const std::vector<const mrt::ObservedRoute*>& v4_routes,
                                        const std::vector<const mrt::ObservedRoute*>& v6_routes,
                                        const rpsl::CommunityDictionary& dict,
                                        const InferenceConfig& config, ThreadPool& pool);
 
-/// Run the full inference over a collector RIB.  Creates its own pool from
-/// `config.threads`.
-InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
-                                          const rpsl::CommunityDictionary& dict,
-                                          const InferenceConfig& config = {});
-
-/// Same, sharing the caller's pool: infer_communities, then
-/// finish_inference.
+/// Run the full inference over a collector RIB on the caller's pool:
+/// infer_communities, then finish_inference.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);

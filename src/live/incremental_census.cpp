@@ -5,7 +5,6 @@
 
 #include "core/community_inference.hpp"
 #include "core/snapshot_bridge.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "topology/valley.hpp"
 
@@ -83,21 +82,12 @@ void IncrementalCensus::apply(std::uint32_t timestamp, const mrt::Bgp4mpMessage&
   ApplyDelta delta = rib_.apply(msg);  // throws before any mutation
   for (const auto& route : delta.removed) remove_route(route);
   for (const auto& route : delta.added) add_route(route);
-  // Epoch churn: every entity a removed OR added route touches counts as
-  // churned.  HLL adds are idempotent, so a route that flaps repeatedly
-  // within one epoch still counts each entity once.
+  // Churn is counted at the cut; the path overlays already record every
+  // path of length >= 2 these routes carry.
   for (const auto* routes : {&delta.removed, &delta.added}) {
     for (const auto& route : *routes) {
-      churn_prefixes_.add(obs::sketch::prefix_item(route.prefix));
-      std::uint32_t prev = 0;
-      bool have_prev = false;
-      for (const std::uint32_t asn : route.as_path) {
-        if (have_prev && asn == prev) continue;
-        churn_ases_.add(obs::sketch::as_item(asn));
-        if (have_prev) churn_links_.add(obs::sketch::link_item(prev, asn));
-        prev = asn;
-        have_prev = true;
-      }
+      churn_prefixes_.push_back(route.prefix);
+      if (route.as_path.size() == 1) churn_lone_ases_.push_back(route.as_path.front());
     }
   }
   ++applied_;
@@ -262,20 +252,40 @@ core::CommunityInference IncrementalCensus::maintained_inference() const {
   out.v6.conflicted_links = stats_.conflicted_links_v6;
   out.v6.tagged_routes = votes_v6_.tagged_routes;
   out.v6.total_votes = votes_v6_.total_votes;
-  // The link-vote feed exactly as core::infer_communities builds it: every
-  // (link, total) pair of both families, sorted together.
+  core::TopLinkVotes top;
   for (const auto& [key, state] : links_) {
-    core::add_link_votes(out.link_votes, key, state.votes_v4);
-    core::add_link_votes(out.link_votes, key, state.votes_v6);
+    top.offer(key, core::vote_total(state.votes_v4) + core::vote_total(state.votes_v6));
   }
-  std::sort(out.link_votes.begin(), out.link_votes.end());
+  out.top_link_votes = top.take();
   return out;
+}
+
+void IncrementalCensus::take_churn(EpochReport& epoch) {
+  const auto distinct = [](auto& items) {
+    std::sort(items.begin(), items.end());
+    return static_cast<std::uint64_t>(std::unique(items.begin(), items.end()) - items.begin());
+  };
+  std::vector<Asn> ases = std::move(churn_lone_ases_);
+  std::vector<LinkKey> links;
+  for (const FamilyPaths* family : {&paths_v4_, &paths_v6_}) {
+    for (const auto& [path, count] : family->overlay) {
+      ases.insert(ases.end(), path.begin(), path.end());
+      path_links(path, scratch_links_);
+      links.insert(links.end(), scratch_links_.begin(), scratch_links_.end());
+    }
+  }
+  epoch.churn_ases = distinct(ases);
+  epoch.churn_links = distinct(links);
+  epoch.churn_prefixes = distinct(churn_prefixes_);
+  churn_lone_ases_.clear();
+  churn_prefixes_.clear();
 }
 
 EpochReport IncrementalCensus::recompute(ThreadPool& pool) {
   EpochReport epoch;
   epoch.applied = applied_;
   epoch.last_timestamp = applied_ == 0 ? seed_timestamp_ : last_timestamp_;
+  take_churn(epoch);
   {
     OBS_SPAN("census");
     core::CensusFront front;
@@ -300,25 +310,7 @@ EpochReport IncrementalCensus::recompute(ThreadPool& pool) {
     OBS_SPAN("live.epoch.snapshot");
     epoch.snap = core::to_snapshot(epoch.report, source_, epoch.last_timestamp);
   }
-  const ChurnEstimates churn = epoch_churn();
-  epoch.churn_ases = churn.ases;
-  epoch.churn_prefixes = churn.prefixes;
-  epoch.churn_links = churn.links;
   return epoch;
-}
-
-IncrementalCensus::ChurnEstimates IncrementalCensus::epoch_churn() const {
-  ChurnEstimates out;
-  out.ases = churn_ases_.estimate_count();
-  out.prefixes = churn_prefixes_.estimate_count();
-  out.links = churn_links_.estimate_count();
-  return out;
-}
-
-void IncrementalCensus::reset_epoch_churn() {
-  churn_ases_.reset();
-  churn_prefixes_.reset();
-  churn_links_.reset();
 }
 
 }  // namespace htor::live

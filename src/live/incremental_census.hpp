@@ -26,7 +26,10 @@
 //     Rosetta reads the table's routes in place, in the order materialize()
 //     would emit them.  The result is byte-identical to core::run_census
 //     over rib().materialize() — the live≡batch oracle test_live and
-//     fuzz_updates hold — and is what serve --follow publishes.
+//     fuzz_updates hold — and is what serve --follow publishes.  Before
+//     the fold, the overlay keys are exactly the paths updates touched
+//     since the last cut, so the cut counts the epoch's churn exactly with
+//     no per-hop work at apply time.
 #pragma once
 
 #include <array>
@@ -39,7 +42,6 @@
 #include "core/census_report.hpp"
 #include "core/pipeline.hpp"
 #include "live/observed_rib.hpp"
-#include "obs/sketch/hll.hpp"
 #include "rpsl/community_dict.hpp"
 #include "snapshot/snapshot.hpp"
 #include "topology/path_store.hpp"
@@ -80,12 +82,12 @@ struct EpochReport {
   snapshot::Snapshot snap;
   std::uint64_t applied = 0;          ///< messages applied when cut
   std::uint32_t last_timestamp = 0;   ///< MRT timestamp of last applied record
-  // Churn cardinality of the epoch just closed: HLL estimates of the
-  // distinct ASes / prefixes / links touched by applied updates since the
-  // previous cut (announce or withdraw alike).
-  std::int64_t churn_ases = 0;
-  std::int64_t churn_prefixes = 0;
-  std::int64_t churn_links = 0;
+  // Churn of the epoch just closed: the exact number of distinct ASes,
+  // prefixes and links (prepends collapsed) on the routes applied updates
+  // added or removed since the previous cut (announce or withdraw alike).
+  std::uint64_t churn_ases = 0;
+  std::uint64_t churn_prefixes = 0;
+  std::uint64_t churn_links = 0;
 };
 
 class IncrementalCensus {
@@ -114,26 +116,14 @@ class IncrementalCensus {
     return af == IpVersion::V4 ? rels_v4_ : rels_v6_;
   }
 
-  /// The authoritative epoch: fold the path overlays into the stores and
-  /// run the census's back half on the maintained state, on `pool`.
+  /// The authoritative epoch, and the cut that closes it: count the churn
+  /// since the previous cut, fold the path overlays into the stores and run
+  /// the census's back half on the maintained state, on `pool`.
   /// Byte-identical to core::run_census over rib().materialize(); the
   /// snapshot is stamped with the last applied MRT timestamp (or the seed
   /// timestamp before any applies) so identical streams produce identical
-  /// bytes.  Carries the current epoch-scoped churn estimates; the caller
-  /// decides when to reset_epoch_churn().
+  /// bytes.
   EpochReport recompute(ThreadPool& pool);
-
-  /// Epoch-scoped churn cardinality: HLLs over the entities touched by
-  /// apply() since construction or the last reset_epoch_churn().  Feeding
-  /// is order-independent (HLL max), so estimates are deterministic for a
-  /// given update stream prefix regardless of ring capacity or timing.
-  struct ChurnEstimates {
-    std::int64_t ases = 0;
-    std::int64_t prefixes = 0;
-    std::int64_t links = 0;
-  };
-  ChurnEstimates epoch_churn() const;
-  void reset_epoch_churn();
 
  private:
   struct LinkState {
@@ -181,6 +171,10 @@ class IncrementalCensus {
   void count_path_links(const std::vector<Asn>& path, bool v4, int sign);
   /// The community half of the inference, read off the vote state.
   core::CommunityInference maintained_inference() const;
+  /// Count the epoch's churn into `epoch` and start the next epoch's.  Runs
+  /// before the overlays fold: their keys are then exactly the distinct
+  /// paths of length >= 2 on the routes added or removed since the last cut.
+  void take_churn(EpochReport& epoch);
 
   ObservedRib rib_;
   rpsl::CommunityDictionary dict_;
@@ -201,12 +195,11 @@ class IncrementalCensus {
   std::uint32_t seed_timestamp_ = 0;
   std::uint32_t last_timestamp_ = 0;
 
-  // Epoch-scoped churn sketches, fed by apply() only (the seed RIB is not
-  // churn).  Precision 12 rather than the default 14: churn per epoch is
-  // orders of magnitude below whole-RIB cardinality.
-  obs::sketch::Hll churn_ases_{12, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll churn_prefixes_{12, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll churn_links_{12, obs::sketch::kTelemetrySeed};
+  // What the overlays do not record about this epoch's churn: the prefix of
+  // every route applied updates added or removed, and the lone AS of each
+  // such route with a length-1 path.  Emptied at every cut.
+  std::vector<Prefix> churn_prefixes_;
+  std::vector<Asn> churn_lone_ases_;
 };
 
 }  // namespace htor::live

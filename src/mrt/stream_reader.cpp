@@ -107,15 +107,10 @@ MrtStreamReader::MrtStreamReader(const std::string& path)
   in_.rdbuf()->pubsetbuf(io_buffer_.data(), static_cast<std::streamsize>(io_buffer_.size()));
   in_.open(path, std::ios::binary);
   if (!in_) throw Error("cannot open '" + path + "'");
-  in_.seekg(0, std::ios::end);
-  const std::streamoff size = in_.tellg();
-  if (size < 0) throw Error("cannot determine size of '" + path + "'");
-  file_size_ = static_cast<std::uint64_t>(size);
-  in_.seekg(0);
 }
 
 MrtStreamReader::MrtStreamReader(std::span<const std::uint8_t> data)
-    : source_("<memory>"), memory_(data), file_size_(data.size()) {}
+    : source_("<memory>"), memory_(data) {}
 
 std::size_t MrtStreamReader::read(std::uint8_t* dst, std::size_t n) {
   if (!in_.is_open()) {
@@ -125,7 +120,7 @@ std::size_t MrtStreamReader::read(std::uint8_t* dst, std::size_t n) {
     return got;
   }
   // lint: allow(raw-cast) istream::read takes char*; callers pass a header
-  // buffer or a body whose length was bounded against the file size
+  // buffer or a body chunk they have sized to `n`
   in_.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(n));
   const auto got = static_cast<std::size_t>(in_.gcount());
   if (got < n && !in_.eof()) {
@@ -152,34 +147,28 @@ std::optional<RawFramedRecord> MrtStreamReader::next() {
   rec.subtype = hdr.u16();
   const std::uint32_t length = hdr.u32();
 
-  // Validate framing against the source size before allocating: a corrupt
-  // length field must fail cleanly, not over-allocate or short-read.  A
-  // file's size was snapshotted at open, so a file that grows underneath us
-  // (a collector still appending) reads as truncated at the snapshot, not as
-  // an unsigned underflow that would disable this guard.
+  // The body arrives in chunks, the buffer growing only as bytes do: the
+  // source may be a pipe with no size to check `length` against, so a
+  // garbage length on a short input fails as a truncated body after at
+  // most one chunk is allocated.  A body below the chunk size takes one
+  // resize and one read.
   const std::uint64_t body_start = bytes_ + kHeaderBytes;
-  if (body_start > file_size_) {
-    IngestMetrics::get().decode_error("header_overrun").inc();
-    throw DecodeError("MRT record header at byte " + std::to_string(bytes_) + " of '" + source_ +
-                      "' extends past the file size observed at open (" +
-                      std::to_string(file_size_) + " bytes); file changed while reading?");
-  }
-  if (length > file_size_ - body_start) {
-    IngestMetrics::get().decode_error("body_overrun").inc();
-    throw DecodeError("MRT record at byte " + std::to_string(bytes_) + " of '" + source_ +
-                      "' declares " + std::to_string(length) + " body bytes but only " +
-                      std::to_string(file_size_ - body_start) + " remain");
-  }
-
-  rec.body.resize(length);
-  if (read(rec.body.data(), length) < length) {  // the file shrank under us
-    IngestMetrics::get().decode_error("truncated_body").inc();
-    throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
-                      " of '" + source_ + "'");
+  std::size_t have = 0;
+  while (have < length) {
+    const std::size_t want = std::min<std::size_t>(length - have, kBodyChunkBytes);
+    rec.body.resize(have + want);
+    const std::size_t chunk = read(rec.body.data() + have, want);
+    have += chunk;
+    if (chunk < want) {
+      IngestMetrics::get().decode_error("truncated_body").inc();
+      throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
+                        " of '" + source_ + "': " + std::to_string(have) + " of " +
+                        std::to_string(length) + " declared bytes");
+    }
   }
 
   bytes_ = body_start + length;
-  ++records_;
+  if (records_++ == 0) first_timestamp_ = rec.timestamp;
   IngestMetrics::get().records.inc();
   IngestMetrics::get().bytes.inc(kHeaderBytes + length);
   return rec;

@@ -34,25 +34,25 @@ struct RawFramedRecord {
   friend bool operator==(const RawFramedRecord&, const RawFramedRecord&) = default;
 };
 
-/// Sequential header scanner over an MRT file or buffer.  Only the 12-byte
-/// common header is interpreted here; bodies are returned raw for the caller
-/// to decode (possibly in parallel).  Framing is validated against the
-/// source size, so a garbage or truncated length field fails with
-/// DecodeError at the offending record instead of over-allocating or
-/// returning a short body.  Both sources frame identically: they differ
-/// only in where read() copies bytes from.
+/// Sequential header scanner over an MRT file (or pipe) or buffer.  Only the
+/// 12-byte common header is interpreted here; bodies are returned raw for
+/// the caller to decode (possibly in parallel).  Bodies are read in bounded
+/// chunks, so a garbage or truncated length field fails with DecodeError at
+/// the offending record after at most one chunk is allocated, never with a
+/// short body.  Both sources frame identically: they differ only in where
+/// read() copies bytes from.
 class MrtStreamReader {
  public:
-  /// Opens `path` for buffered binary reading.  Throws Error when the file
-  /// cannot be opened or sized.
+  /// Opens `path` for buffered binary reading; it need not be seekable (a
+  /// pipe such as /dev/fd/N works).  Throws Error when it cannot be opened.
   explicit MrtStreamReader(const std::string& path);
 
   /// Frames an in-memory buffer (not copied; must outlive the reader).
   explicit MrtStreamReader(std::span<const std::uint8_t> data);
 
   /// Next framed record, or nullopt at clean end of input.  Throws
-  /// DecodeError on a truncated header, a truncated body, or a length field
-  /// that overruns the source; throws Error on I/O failure.
+  /// DecodeError on a truncated header or a body shorter than its length
+  /// field declares; throws Error on I/O failure.
   std::optional<RawFramedRecord> next();
 
   /// Next BGP4MP MESSAGE / MESSAGE_AS4 frame, or nullopt at end of input.
@@ -64,14 +64,16 @@ class MrtStreamReader {
   std::optional<RawFramedRecord> next_update();
 
   std::uint64_t records_read() const { return records_; }
+  /// MRT timestamp of the first record framed (0 before any): the dump's
+  /// epoch, without reopening a source that may be a pipe.
+  std::uint32_t first_timestamp() const { return first_timestamp_; }
   std::uint64_t bytes_read() const { return bytes_; }
-  /// Source size in bytes (for a file, as observed at open).
-  std::uint64_t file_size() const { return file_size_; }
   /// Frames next_update() passed over because they were not BGP4MP messages.
   std::uint64_t updates_skipped() const { return skipped_; }
 
  private:
   static constexpr std::size_t kIoBufferBytes = 256 * 1024;
+  static constexpr std::size_t kBodyChunkBytes = 1024 * 1024;
 
   /// Copy up to `n` bytes of the source into `dst`; fewer only at end of
   /// input.  Throws Error on an I/O failure.
@@ -81,9 +83,9 @@ class MrtStreamReader {
   std::vector<char> io_buffer_;
   std::ifstream in_;                      ///< open only for a file source
   std::span<const std::uint8_t> memory_;  ///< unread bytes of a memory source
-  std::uint64_t file_size_ = 0;
   std::uint64_t bytes_ = 0;  ///< consumed so far (headers + bodies)
   std::uint64_t records_ = 0;
+  std::uint32_t first_timestamp_ = 0;
   std::uint64_t skipped_ = 0;
 };
 

@@ -53,11 +53,11 @@ class Prefix {
 };
 
 /// FNV-1a over the canonical bytes; suitable for unordered_map keys.
-/// Process-local only — never feeds a mergeable sketch (those hash through
-/// util/hash.hpp), so the inline constants are fine here.
+/// Process-local only — no output depends on its values (deterministic
+/// draws hash through util/hash.hpp), so the inline constants are fine here.
 struct PrefixHash {
   std::size_t operator()(const Prefix& p) const {
-    // lint: allow(raw-hash) unordered_map functor, not sketch input
+    // lint: allow(raw-hash) unordered_map functor; no output depends on it
     std::uint64_t h = 1469598103934665603ull;
     auto mix = [&h](std::uint8_t b) {
       h ^= b;

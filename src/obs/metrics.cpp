@@ -246,24 +246,6 @@ std::int64_t MetricsRegistry::polled_value(std::string_view name, const Labels& 
   return it == last_polled_.end() ? 0 : it->second;
 }
 
-std::vector<MetricsRegistry::PolledSample> MetricsRegistry::polled_samples(
-    std::string_view prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<PolledSample> out;
-  // callbacks_ is ordered by (name, labels), so the result is deterministic
-  // and the prefix range is contiguous.
-  for (auto it = callbacks_.lower_bound(Key{std::string(prefix), ""});
-       it != callbacks_.end(); ++it) {
-    const auto& [key, entries] = *it;
-    if (key.first.compare(0, prefix.size(), prefix) != 0) break;
-    std::int64_t total = 0;
-    for (const auto& entry : entries) total += entry.fn();
-    last_polled_[key] = total;
-    out.push_back(PolledSample{key.first, key.second, total});
-  }
-  return out;
-}
-
 std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mutex_);
 

@@ -252,19 +252,6 @@ class MetricsRegistry {
   /// scrape and after reset_values().
   std::int64_t polled_value(std::string_view name, const Labels& labels = {}) const;
 
-  /// One polled sample: the rendered identity ("name{labels}") and value.
-  struct PolledSample {
-    std::string name;    ///< metric family name
-    std::string labels;  ///< rendered label string, "" when unlabeled
-    std::int64_t value = 0;
-  };
-  /// Poll every registered callback whose name starts with `prefix` (sums
-  /// co-registered entries per identity, same as a Prometheus scrape) and
-  /// return the samples in deterministic (name, labels) order.  Updates the
-  /// last-scrape cache — this is how /v1/metrics picks up callback gauges
-  /// without the daemon knowing their names.
-  std::vector<PolledSample> polled_samples(std::string_view prefix = {}) const;
-
   /// One histogram family member, for the census --stats stage table.
   struct HistogramRow {
     std::string labels;  ///< rendered label string, "" when unlabeled
@@ -310,8 +297,8 @@ class MetricsRegistry {
   std::map<Key, Metric> metrics_;
   std::map<Key, std::vector<CallbackEntry>> callbacks_;
   /// Last-scrape values of callback metrics, keyed like callbacks_.  Filled
-  /// by render_prometheus()/polled_samples(), read by polled_value(),
-  /// cleared by reset_values().  Mutable: scrapes are logically const.
+  /// by render_prometheus(), read by polled_value(), cleared by
+  /// reset_values().  Mutable: scrapes are logically const.
   mutable std::map<Key, std::int64_t> last_polled_;
   std::uint64_t next_callback_id_ = 1;
 };

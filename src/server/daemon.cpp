@@ -516,18 +516,6 @@ std::string QueryDaemon::metrics_json() const {
   json.key("last_us").value(static_cast<std::uint64_t>(last_reload_us_.value()));
   json.end_object();
 
-  // Sketch estimates: polled straight off the registry's callback metrics,
-  // so the daemon needs no knowledge of which sketches exist — the keys
-  // here render exactly like the Prometheus identities ("name" or
-  // "name{label=\"v\"}"), which the endpoint-agreement e2e pins.
-  json.key("sketches").begin_object();
-  for (const auto& sample :
-       obs::MetricsRegistry::global().polled_samples("htor_sketch_")) {
-    json.key(sample.name + sample.labels)
-        .value(static_cast<std::uint64_t>(std::max<std::int64_t>(0, sample.value)));
-  }
-  json.end_object();
-
   json.end_object();
   return json.str() + "\n";
 }

@@ -4,8 +4,10 @@
 #   2. `census` on the artifacts — exit 0, key report lines present.
 #   3. `census --jobs 4` — byte-identical output to --jobs 1.
 #   4. `census` on a missing rib.mrt — non-zero exit, diagnostic names the file.
-#   5. `census` on a truncated rib.mrt — non-zero exit, no partial report
-#      (skipped on hosts without /bin/sh, which is what clips the file).
+#   5. `census` on a truncated rib.mrt — non-zero exit, no partial report;
+#      `census` reading rib.mrt through a pipe prints the same report as
+#      from the file (both skipped on hosts without /bin/sh, which is what
+#      clips the file and builds the pipe).
 #   6. Snapshot store loop: generate a second synthetic Internet with a
 #      different seed, census both with `--snapshot-out`; snapshot files are
 #      byte-identical across --jobs values; `diff` of the two seeds reports
@@ -121,8 +123,21 @@ if(SH_PROGRAM)
   if(at EQUAL -1)
     message(FATAL_ERROR "truncation diagnostic does not name the file: ${err}")
   endif()
+
+  # A pipe has no size to seek to; the report equals the file's, bar the
+  # path its first line echoes.
+  execute_process(COMMAND "${SH_PROGRAM}" -c
+                          "cat '${DATA_DIR}/rib.mrt' | '${HYBRIDTOR}' census /dev/stdin '${DATA_DIR}/irr.txt'"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE piped ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "census from a pipe failed (rc=${rc}): ${err}")
+  endif()
+  string(REPLACE "/dev/stdin: " "${DATA_DIR}/rib.mrt: " piped "${piped}")
+  if(NOT piped STREQUAL census_j1)
+    message(FATAL_ERROR "census from a pipe differs from the file:\n${piped}")
+  endif()
 else()
-  message(STATUS "cli_e2e: no sh found, skipping truncated-file check")
+  message(STATUS "cli_e2e: no sh found, skipping truncated-file and pipe checks")
 endif()
 
 # ------------------------------------------------------- 6. snapshot store

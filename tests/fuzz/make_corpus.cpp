@@ -115,7 +115,8 @@ void make_snapshot_seeds(const std::filesystem::path& dir) {
   // hundreds of map entries, a non-trivial hybrid list.
   const auto net = gen::SyntheticInternet::generate(gen::small_params(21));
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto report = core::run_census(net.collect(), dict);
+  ThreadPool pool(1);
+  const auto report = core::run_census(net.collect(), dict, {}, pool);
   const auto snap = core::to_snapshot(report, "fuzz-census.mrt", 1281052800u);
   write_file(dir / "census.snap", snapshot::Writer::encode_v1(snap));
   write_file(dir / "census_v2.snap", snapshot::Writer::encode(snap));

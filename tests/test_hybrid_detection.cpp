@@ -125,7 +125,7 @@ TEST_P(HybridPrecision, NoFalsePositives) {
   ThreadPool pool(1);
   const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto census = run_census(rib, dict);
+  const auto census = run_census(rib, dict, {}, pool);
 
   std::unordered_set<LinkKey, LinkKeyHash> planted;
   for (const auto& h : net.hybrid_links()) planted.insert(h.link);

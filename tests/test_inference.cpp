@@ -270,14 +270,15 @@ TEST(Pipeline, RosettaOnlyFillsGaps) {
     rib.add(route(IpVersion::V4, {100, o}, {bgp::Community(100, 1)}, 120));
   }
   rib.add(route(IpVersion::V4, {100, 299}, {}, 120));
-  const auto inferred = infer_relationships(rib, dict);
+  ThreadPool pool(1);
+  const auto inferred = infer_relationships(rib, dict, {}, pool);
   EXPECT_EQ(inferred.v4.get(100, 299), Relationship::P2C);   // via Rosetta
   EXPECT_EQ(inferred.v4.get(100, 201), Relationship::P2C);   // via communities
   EXPECT_EQ(inferred.community_v4.rels.get(100, 299), Relationship::Unknown);
 
   InferenceConfig no_rosetta;
   no_rosetta.use_rosetta = false;
-  const auto bare = infer_relationships(rib, dict, no_rosetta);
+  const auto bare = infer_relationships(rib, dict, no_rosetta, pool);
   EXPECT_EQ(bare.v4.get(100, 299), Relationship::Unknown);
 }
 

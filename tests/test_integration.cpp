@@ -31,7 +31,7 @@ PipelineResult run_pipeline(std::uint64_t seed) {
   ThreadPool pool(1);
   auto rib = mrt::rib_from_stream(stream, pool);
   auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  auto census = core::run_census(rib, dict);
+  auto census = core::run_census(rib, dict, {}, pool);
   return {std::move(net), std::move(rib), std::move(dict), std::move(census)};
 }
 

@@ -6,9 +6,11 @@
 // capacity and any pool size, including under adversarial churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "bgp/as_path.hpp"
 #include "bgp/message.hpp"
 #include "core/census_report.hpp"
+#include "core/community_inference.hpp"
 #include "core/snapshot_bridge.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
@@ -23,6 +26,7 @@
 #include "live/observed_rib.hpp"
 #include "live/pipeline.hpp"
 #include "mrt/writer.hpp"
+#include "obs/metrics.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/writer.hpp"
@@ -639,6 +643,205 @@ TEST(IncrementalCensus, ValleyTelemetryIsMonotonic) {
     ASSERT_GE(total, last_total);
     last_total = total;
   }
+}
+
+// ------------------------------------------------- exact churn and top-10
+
+/// Brute-force epoch churn: a separate live RIB replays the same messages,
+/// and the churn of an epoch is the union of the prefixes, ASes and links
+/// (prepends collapsed) of every route its ApplyDeltas added or removed.
+struct ChurnOracle {
+  explicit ChurnOracle(const mrt::ObservedRib& seed) { rib.seed(seed); }
+
+  void apply(const mrt::Bgp4mpMessage& msg) {
+    const ApplyDelta delta = rib.apply(msg);
+    for (const auto* routes : {&delta.added, &delta.removed}) {
+      for (const auto& route : *routes) {
+        prefixes.insert(route.prefix);
+        for (std::size_t i = 0; i < route.as_path.size(); ++i) {
+          ases.insert(route.as_path[i]);
+          if (i > 0 && route.as_path[i] != route.as_path[i - 1]) {
+            links.insert(LinkKey(route.as_path[i - 1], route.as_path[i]));
+          }
+        }
+      }
+    }
+  }
+
+  /// `epoch` must carry the union since the previous cut; then start over.
+  void expect_cut(const EpochReport& epoch) {
+    EXPECT_EQ(epoch.churn_prefixes, prefixes.size()) << "applied=" << epoch.applied;
+    EXPECT_EQ(epoch.churn_ases, ases.size()) << "applied=" << epoch.applied;
+    EXPECT_EQ(epoch.churn_links, links.size()) << "applied=" << epoch.applied;
+    prefixes.clear();
+    ases.clear();
+    links.clear();
+  }
+
+  ObservedRib rib;
+  std::set<Prefix> prefixes;
+  std::set<Asn> ases;
+  std::set<LinkKey> links;
+};
+
+// Every epoch of the seeded stream, cut by hand and by the pipeline, carries
+// the exact churn; the pipeline's gauges describe the epoch just cut.
+TEST(IncrementalCensus, EpochChurnIsTheUnionOfAppliedDeltas) {
+  const World& w = world();
+  {
+    ThreadPool pool(1);
+    IncrementalCensus census(w.rib, w.dict, {}, kSource, kSeedTimestamp);
+    ChurnOracle oracle(w.rib);
+    oracle.expect_cut(census.recompute(pool));  // nothing applied yet
+    std::uint64_t churned_prefixes = 0;
+    for (std::size_t i = 0; i < w.updates.size(); ++i) {
+      const auto& msg = std::get<mrt::Bgp4mpMessage>(w.updates[i].body);
+      census.apply(w.updates[i].timestamp, msg);
+      oracle.apply(msg);
+      if ((i + 1) % 60 == 0 || i + 1 == w.updates.size()) {
+        const auto epoch = census.recompute(pool);
+        churned_prefixes += epoch.churn_prefixes;
+        oracle.expect_cut(epoch);
+      }
+    }
+    EXPECT_GT(churned_prefixes, 0u);
+  }
+
+  const std::string path = write_updates_file(w.updates, "live_churn_updates.mrt");
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    IncrementalCensus census(w.rib, w.dict, {}, kSource, kSeedTimestamp);
+    PipelineConfig pipeline_config;
+    pipeline_config.ring_capacity = 2;
+    pipeline_config.epoch_every = 150;
+    Pipeline pipeline(census, pipeline_config);
+    ChurnOracle oracle(w.rib);
+    std::size_t replayed = 0;
+    const auto& registry = obs::MetricsRegistry::global();
+    pipeline.run({path}, pool, [&](const EpochReport& epoch) {
+      for (; replayed < epoch.applied; ++replayed) {
+        oracle.apply(std::get<mrt::Bgp4mpMessage>(w.updates[replayed].body));
+      }
+      oracle.expect_cut(epoch);
+      EXPECT_EQ(registry.gauge_value("htor_live_epoch_churn", {{"kind", "as"}}),
+                static_cast<std::int64_t>(epoch.churn_ases));
+      EXPECT_EQ(registry.gauge_value("htor_live_epoch_churn", {{"kind", "prefix"}}),
+                static_cast<std::int64_t>(epoch.churn_prefixes));
+      EXPECT_EQ(registry.gauge_value("htor_live_epoch_churn", {{"kind", "link"}}),
+                static_cast<std::int64_t>(epoch.churn_links));
+    });
+    EXPECT_EQ(replayed, w.updates.size());
+  }
+  std::remove(path.c_str());
+}
+
+// The cases a per-hop count gets wrong: a flap inside one epoch counts each
+// entity once, prepends add no AS or link, a length-1 path adds its lone AS,
+// a duplicate re-announce (no delta) adds nothing, and withdrawing every
+// route churns every prefix, AS and link of the RIB.
+TEST(IncrementalCensus, EpochChurnEdgeCases) {
+  const World& w = world();
+  ThreadPool pool(1);
+  IncrementalCensus census(w.rib, w.dict, {}, kSource, kSeedTimestamp);
+  ChurnOracle oracle(w.rib);
+  std::uint32_t timestamp = kSeedTimestamp;
+  const auto step = [&](const mrt::Bgp4mpMessage& msg) {
+    census.apply(++timestamp, msg);
+    oracle.apply(msg);
+  };
+  const auto cut = [&] {
+    const auto epoch = census.recompute(pool);
+    oracle.expect_cut(epoch);
+    return epoch;
+  };
+
+  // A flap: withdrawn and re-announced three times.
+  const mrt::ObservedRoute& flapping = tagged_route(w, IpVersion::V4);
+  for (int flap = 0; flap < 3; ++flap) {
+    step(withdraw_route(flapping));
+    step(announce_route(flapping));
+  }
+  const std::set<Asn> flap_ases(flapping.as_path.begin(), flapping.as_path.end());
+  auto epoch = cut();
+  EXPECT_EQ(epoch.churn_prefixes, 1u);
+  EXPECT_EQ(epoch.churn_ases, flap_ases.size());
+
+  // A prepended path and a length-1 path.
+  const auto prepended =
+      v4_announce(4200000001u, "10.200.0.0/16", {4200000001u, 4200000001u, 4200000002u,
+                                                 4200000002u, 4200000002u, 4200000003u});
+  const auto lone = v4_announce(4200000010u, "10.201.0.0/16", {4200000010u});
+  step(prepended);
+  step(lone);
+  epoch = cut();
+  EXPECT_EQ(epoch.churn_prefixes, 2u);
+  EXPECT_EQ(epoch.churn_ases, 4u);
+  EXPECT_EQ(epoch.churn_links, 2u);
+
+  // The same two announced again: duplicates, no delta, no churn.
+  const std::uint64_t duplicates = census.rib().stats().duplicates;
+  step(prepended);
+  step(lone);
+  EXPECT_EQ(census.rib().stats().duplicates, duplicates + 2);
+  epoch = cut();
+  EXPECT_EQ(epoch.churn_prefixes + epoch.churn_ases + epoch.churn_links, 0u);
+
+  // Withdraw everything: the churn is the whole RIB.
+  std::vector<mrt::ObservedRoute> routes;
+  census.rib().for_each([&](const mrt::ObservedRoute& route) { routes.push_back(route); });
+  std::set<Prefix> all_prefixes;
+  for (const auto& route : routes) all_prefixes.insert(route.prefix);
+  for (const auto& route : routes) step(withdraw_route(route));
+  ASSERT_EQ(census.rib().size(), 0u);
+  epoch = cut();
+  EXPECT_EQ(epoch.churn_prefixes, all_prefixes.size());
+}
+
+/// The top-10 by brute force: every route's votes scanned again, summed per
+/// link over both families, sorted by votes descending then link.
+std::vector<core::LinkVotes> brute_force_top_link_votes(const mrt::ObservedRib& rib,
+                                                        const rpsl::CommunityDictionary& dict) {
+  std::map<LinkKey, std::uint64_t> totals;
+  for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    const auto routes = rib.routes_of(af);
+    for (const auto& [key, votes] :
+         core::scan_community_votes(routes, 0, routes.size(), dict).votes) {
+      for (const std::uint32_t n : votes) totals[key] += n;
+    }
+  }
+  std::vector<core::LinkVotes> all;
+  for (const auto& [key, total] : totals) {
+    if (total > 0) all.push_back(core::LinkVotes{key, total});
+  }
+  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.votes > b.votes;
+  });
+  all.resize(std::min(all.size(), core::kTopLinkVotes));
+  return all;
+}
+
+// The live epoch's most-voted links equal the batch census's over the
+// materialized RIB at any pool size, and a brute-force re-scan.
+TEST(IncrementalCensus, TopLinkVotesMatchBatchAndBruteForce) {
+  const World& w = world();
+  ThreadPool one(1);
+  ThreadPool four(4);
+  IncrementalCensus census(w.rib, w.dict, {}, kSource, kSeedTimestamp);
+  const auto check = [&] {
+    const auto live = census.recompute(one).report.inferred.top_link_votes;
+    const auto rib = census.rib().materialize();
+    EXPECT_EQ(live.size(), core::kTopLinkVotes);
+    EXPECT_EQ(live, brute_force_top_link_votes(rib, w.dict));
+    for (ThreadPool* pool : {&one, &four}) {
+      EXPECT_EQ(live, core::run_census(rib, w.dict, {}, *pool).inferred.top_link_votes);
+    }
+  };
+  check();
+  for (std::size_t i = 0; i < w.updates.size(); ++i) {
+    census.apply(w.updates[i].timestamp, std::get<mrt::Bgp4mpMessage>(w.updates[i].body));
+    if (i + 1 == w.updates.size() / 2) check();
+  }
+  check();
 }
 
 }  // namespace

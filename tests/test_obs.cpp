@@ -136,7 +136,7 @@ TEST(MetricsRegistry, ResetValuesDropsCallbackLastScrapeCache) {
   EXPECT_EQ(reg.polled_value("cache_depth"), 0);
 
   // The registration survived the reset; the next scrape re-polls.
-  (void)reg.polled_samples();
+  (void)reg.render_prometheus();
   EXPECT_EQ(reg.polled_value("cache_depth"), 5);
 }
 

@@ -238,23 +238,22 @@ TEST_F(ParallelFixture, CommunityInferenceMatchesSequential) {
 }
 
 TEST_F(ParallelFixture, InferRelationshipsMatchesSequential) {
-  core::InferenceConfig sequential_config;  // threads = 1
-  const auto sequential = core::infer_relationships(rib(), dict(), sequential_config);
-
-  core::InferenceConfig parallel_config;
-  parallel_config.threads = 4;
-  const auto sharded = core::infer_relationships(rib(), dict(), parallel_config);
+  ThreadPool one(1);
+  const auto sequential = core::infer_relationships(rib(), dict(), {}, one);
+  ThreadPool four(4);
+  const auto sharded = core::infer_relationships(rib(), dict(), {}, four);
 
   expect_same_rels(sharded.v4, sequential.v4);
   expect_same_rels(sharded.v6, sequential.v6);
   EXPECT_EQ(sharded.rosetta_v6.values_learned, sequential.rosetta_v6.values_learned);
   EXPECT_EQ(sharded.rosetta_v6.routes_resolved, sequential.rosetta_v6.routes_resolved);
+  EXPECT_EQ(sharded.top_link_votes, sequential.top_link_votes);
 }
 
 TEST_F(ParallelFixture, ValleyCensusMatchesAcrossJobCounts) {
   ThreadPool one(1);
   const auto paths = core::paths_of(rib(), IpVersion::V6, one);
-  const auto inferred = core::infer_relationships(rib(), dict());
+  const auto inferred = core::infer_relationships(rib(), dict(), {}, one);
   const auto sequential = core::census_valleys(paths, inferred.v6, one);
   ThreadPool pool(4);
   const auto sharded = core::census_valleys(paths, inferred.v6, pool);
@@ -267,12 +266,11 @@ TEST_F(ParallelFixture, ValleyCensusMatchesAcrossJobCounts) {
 }
 
 TEST_F(ParallelFixture, FullCensusMatchesAcrossJobCounts) {
-  core::InferenceConfig config;
-  config.threads = 1;
-  const auto base = core::run_census(rib(), dict(), config);
+  ThreadPool one(1);
+  const auto base = core::run_census(rib(), dict(), {}, one);
   for (std::size_t jobs : {4u, 8u}) {
-    config.threads = jobs;
-    const auto report = core::run_census(rib(), dict(), config);
+    ThreadPool pool(jobs);
+    const auto report = core::run_census(rib(), dict(), {}, pool);
     EXPECT_EQ(report.v6_paths, base.v6_paths);
     EXPECT_EQ(report.v4_paths, base.v4_paths);
     EXPECT_EQ(report.v6_links, base.v6_links);

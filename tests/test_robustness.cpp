@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -157,7 +158,7 @@ TEST(Robustness, TruncatedRibFileFailsFast) {
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(cut));
   }
 
-  ASSERT_EQ(mrt::MrtStreamReader(path).file_size(), cut);
+  ASSERT_EQ(std::filesystem::file_size(path), cut);
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(jobs);
     EXPECT_THROW(core::load_rib(path, pool), DecodeError) << jobs;
@@ -228,7 +229,7 @@ std::uint64_t decode_errors_total() {
 // (once per failed decode shard, so two bad records could count twice); a
 // malformed PEER_INDEX_TABLE, a RIB record before any PEER_INDEX_TABLE and an
 // out-of-range peer index aborted the ingest without a trace.  Every
-// rejection now counts exactly once, under its reason.
+// rejection now counts exactly once, under its reason, framing included.
 TEST(Robustness, EveryIngestRejectionCountedOnce) {
   struct Case {
     const char* what;
@@ -256,6 +257,19 @@ TEST(Robustness, EveryIngestRejectionCountedOnce) {
     auto bad = records;
     std::get<mrt::RibPrefixRecord>(bad[3].body).entries.at(0).peer_index = 60000;
     cases.push_back({"peer index out of range", "peer_index_out_of_range", encode(bad)});
+  }
+
+  {
+    auto bad = valid_mrt_bytes();
+    bad.insert(bad.end(), {0x4c, 0x3a, 0x5e, 0x00, 0x00});  // 5 of 12 header bytes
+    cases.push_back({"header cut short", "truncated_header", bad});
+  }
+  {
+    // A length field far past the end of the input.
+    auto bad = valid_mrt_bytes();
+    bad.insert(bad.end(),
+               {0x00, 0x00, 0x00, 0x01, 0x00, 0x0d, 0x00, 0x02, 0xff, 0xff, 0xff, 0xff});
+    cases.push_back({"garbage length field", "truncated_body", bad});
   }
 
   auto& registry = obs::MetricsRegistry::global();

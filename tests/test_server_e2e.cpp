@@ -36,7 +36,6 @@
 
 #include "core/hybrid.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "server/daemon.hpp"
 #include "server/render.hpp"
 #include "snapshot/query.hpp"
@@ -603,41 +602,29 @@ TEST_F(ServerE2E, PrometheusAndJsonMetricsAgree) {
   EXPECT_NE(prom_resp.body.find("htor_snapshot_opens_total"), std::string::npos);
   EXPECT_NE(prom_resp.body.find("htor_daemon_epoch"), std::string::npos);
 
-  // ------------------------------------------------------------ sketches
-  // With link votes and epoch churn fed, every htor_sketch_* gauge must
-  // render the same value on GET /metrics and /v1/metrics — the daemon
-  // knows nothing about sketches, so agreement proves the callback-gauge
-  // plumbing end to end.  Ingest feeds no sketch, so the set of gauges is
-  // exactly the census's link votes, the live tier's churn, and memory.
-  auto& telemetry = obs::sketch::Telemetry::global();
-  telemetry.reset();
-  telemetry.feed_link_votes({{obs::sketch::link_item(105, 10196), 12},
-                             {obs::sketch::link_item(105, 20000), 3}});
-  telemetry.set_epoch_churn(4, 5, 6);
-
-  // Scrape both endpoints with that state live.  Sketch gauges do not
-  // self-observe, so the two bodies must agree exactly, sample for sample.
-  const auto sketch_json = fetch(port_, "GET", "/v1/metrics");
-  ASSERT_TRUE(sketch_json.ok);
-  const auto sketch_prom = fetch(port_, "GET", "/metrics");
-  ASSERT_TRUE(sketch_prom.ok);
-  const auto sketch_doc = JsonValue::parse(sketch_json.body);
-  const auto& sketches = sketch_doc.at("sketches").as_object();
-  std::set<std::string> names;
-  for (const auto& [identity, value] : sketches) names.insert(identity);
-  EXPECT_EQ(names, (std::set<std::string>{"htor_sketch_epoch_churn_estimate{kind=\"as\"}",
-                                          "htor_sketch_epoch_churn_estimate{kind=\"link\"}",
-                                          "htor_sketch_epoch_churn_estimate{kind=\"prefix\"}",
-                                          "htor_sketch_memory_bytes",
-                                          "htor_sketch_top_link_votes"}));
-  for (const auto& [identity, value] : sketches) {
-    const auto prom = prom_value(sketch_prom.body, identity);
-    ASSERT_TRUE(prom.has_value()) << identity << " missing from Prometheus text";
-    EXPECT_EQ(*prom, value.as_uint()) << identity;
+  // ------------------------------------------------------- epoch churn
+  // The live pipeline publishes each epoch's exact churn as plain registry
+  // gauges; GET /metrics renders them like any other series, and neither
+  // endpoint carries a sketch series.
+  auto& registry = obs::MetricsRegistry::global();
+  const std::vector<std::pair<std::string, std::int64_t>> churn = {
+      {"as", 4}, {"prefix", 5}, {"link", 6}};
+  for (const auto& [kind, value] : churn) {
+    registry.gauge("htor_live_epoch_churn", {{"kind", kind}}).set(value);
   }
-  EXPECT_EQ(sketches.at("htor_sketch_top_link_votes").as_uint(), 12u);
-  EXPECT_EQ(sketches.at("htor_sketch_epoch_churn_estimate{kind=\"prefix\"}").as_uint(), 5u);
-  telemetry.reset();
+  const auto churn_json = fetch(port_, "GET", "/v1/metrics");
+  ASSERT_TRUE(churn_json.ok);
+  const auto churn_prom = fetch(port_, "GET", "/metrics");
+  ASSERT_TRUE(churn_prom.ok);
+  EXPECT_EQ(churn_json.body.find("sketch"), std::string::npos);
+  EXPECT_EQ(churn_prom.body.find("sketch"), std::string::npos);
+  EXPECT_NE(churn_prom.body.find("# TYPE htor_live_epoch_churn gauge"), std::string::npos);
+  for (const auto& [kind, value] : churn) {
+    const auto prom = prom_value(churn_prom.body, "htor_live_epoch_churn{kind=\"" + kind + "\"}");
+    ASSERT_TRUE(prom.has_value()) << kind;
+    EXPECT_EQ(*prom, static_cast<std::uint64_t>(value)) << kind;
+    registry.gauge("htor_live_epoch_churn", {{"kind", kind}}).set(0);
+  }
 }
 
 }  // namespace

@@ -27,7 +27,8 @@ const Snapshot& census_snapshot() {
   static const Snapshot snap = [] {
     const auto net = gen::SyntheticInternet::generate(gen::small_params(21));
     const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-    const auto report = core::run_census(net.collect(), dict);
+    ThreadPool pool(1);
+    const auto report = core::run_census(net.collect(), dict, {}, pool);
     return core::to_snapshot(report, "census/rib.mrt", 1281052800u);
   }();
   return snap;
@@ -166,9 +167,8 @@ TEST(SnapshotRoundTrip, CensusJobsDeterministic) {
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   std::vector<std::uint8_t> reference;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    core::InferenceConfig config;
-    config.threads = jobs;
-    const auto report = core::run_census(rib, dict, config);
+    ThreadPool pool(jobs);
+    const auto report = core::run_census(rib, dict, {}, pool);
     const auto bytes = Writer::encode(core::to_snapshot(report, "census/rib.mrt", 1281052800u));
     if (reference.empty()) {
       reference = bytes;

@@ -1,11 +1,15 @@
 // Tests for the one MRT ingest path: the framer gives identical frames from
-// a file and from memory, rib_from_stream equals the test-side reference
+// a file, a pipe and memory, rib_from_stream equals the test-side reference
 // join at any pool size, batch size and source, and truncated or garbage
 // framing fails with a clean DecodeError — never a partial RIB.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "core/pipeline.hpp"
 #include "gen/internet.hpp"
@@ -83,7 +87,6 @@ TEST(MrtStreamReader, FramesMatchInMemoryReader) {
   for (const MrtStreamReader* stream : {&file, &memory}) {
     EXPECT_EQ(stream->records_read(), file_frames.size());
     EXPECT_EQ(stream->bytes_read(), bytes.size());
-    EXPECT_EQ(stream->file_size(), bytes.size());
   }
   std::remove(path.c_str());
 
@@ -105,6 +108,80 @@ TEST(MrtStreamReader, FramesMatchInMemoryReader) {
     EXPECT_THROW(all_frames(bad_memory), DecodeError) << bad.size() << " bytes";
     std::remove(bad_path.c_str());
   }
+}
+
+/// Feeds `bytes` into a real pipe from a writer thread while `consume` reads
+/// the pipe through the path /dev/fd/<read end>, as a shell's `<(cat f)`
+/// hands it over.
+template <typename Consume>
+void through_pipe(const std::vector<std::uint8_t>& bytes, Consume consume) {
+  std::signal(SIGPIPE, SIG_IGN);  // a reader that quits early fails, not kills, the test
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([&bytes, fd = fds[1]] {
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+      if (n <= 0) break;  // the reader gave up early
+      done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  try {
+    consume("/dev/fd/" + std::to_string(fds[0]));
+  } catch (...) {
+    ::close(fds[0]);
+    writer.join();
+    throw;
+  }
+  ::close(fds[0]);
+  writer.join();
+}
+
+// A pipe has no size to seek to: it streams into the same RIB as the file,
+// and the dump's epoch is known without reading it twice.
+TEST(MrtStreamReader, PipeYieldsSameRibAsFile) {
+  const auto& bytes = sample_dump();
+  const std::string path = write_temp(bytes, "stream_pipe.mrt");
+  ThreadPool pool(4);
+  const ObservedRib from_file = stream_file(path, pool);
+  std::remove(path.c_str());
+  ASSERT_GT(from_file.size(), 0u);
+  through_pipe(bytes, [&](const std::string& pipe_path) {
+    MrtStreamReader stream(pipe_path);
+    const ObservedRib from_pipe = rib_from_stream(stream, pool);
+    EXPECT_EQ(from_pipe.routes(), from_file.routes());
+    EXPECT_EQ(stream.first_timestamp(), 1281052800u);
+  });
+}
+
+// Bodies above the 1 MiB read chunk arrive whole from memory and from a
+// pipe; a length that overruns the input fails as a truncated body.
+TEST(MrtStreamReader, MultiChunkBodiesAndOverrunsFromAnySource) {
+  std::vector<std::uint8_t> big(3 * 1024 * 1024 + 5);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 7);
+  MrtWriter writer;
+  writer.write(Record{1, RawRecord{99, 1, big}});
+  writer.write(Record{2, RawRecord{99, 2, {1, 2, 3}}});
+  const std::vector<std::uint8_t> bytes = writer.take();
+
+  MrtStreamReader memory(bytes);
+  const auto frames = all_frames(memory);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].body, big);
+  through_pipe(bytes, [&](const std::string& pipe_path) {
+    MrtStreamReader pipe(pipe_path);
+    EXPECT_EQ(all_frames(pipe), frames);
+  });
+
+  // Cut 1 MiB + 1 byte into the big body: the second chunk comes up short.
+  const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + 12 + (1 << 20) + 1);
+  MrtStreamReader cut_memory(cut);
+  EXPECT_THROW(all_frames(cut_memory), DecodeError);
+  through_pipe(cut, [](const std::string& pipe_path) {
+    MrtStreamReader pipe(pipe_path);
+    EXPECT_THROW(all_frames(pipe), DecodeError);
+  });
 }
 
 TEST(MrtStreamReader, MissingFileThrows) {

@@ -91,9 +91,6 @@
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/cms.hpp"
-#include "obs/sketch/hll.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "rpsl/object.hpp"
 #include "server/daemon.hpp"
@@ -285,13 +282,26 @@ int cmd_generate(const std::string& outdir, std::uint64_t seed, std::size_t upda
   return 0;
 }
 
-/// The RIB's epoch: the MRT timestamp of the dump's first record.  This (not
-/// wall clock) stamps snapshots, so re-running the census on the same input
-/// reproduces the snapshot byte for byte.
-std::uint64_t rib_epoch(const std::string& mrt_path) {
-  mrt::MrtStreamReader stream(mrt_path);
-  if (const auto frame = stream.next()) return frame->timestamp;
-  return 0;
+/// A collector RIB and its epoch: the MRT timestamp of the dump's first
+/// record.  The epoch (not wall clock) stamps snapshots, so re-running the
+/// census on the same input reproduces the snapshot byte for byte.
+struct LoadedRib {
+  mrt::ObservedRib rib;
+  std::uint32_t epoch = 0;
+};
+
+/// Load the RIB at `path` in one pass (a pipe cannot be read twice).  Fails
+/// fast on unreadable or truncated input with one diagnostic naming `verb`,
+/// the file and the reason, so no partial report is ever printed.
+LoadedRib load_rib_once(const std::string& verb, const std::string& path, ThreadPool& pool) {
+  try {
+    mrt::MrtStreamReader stream(path);
+    LoadedRib out{mrt::rib_from_stream(stream, pool)};
+    out.epoch = stream.first_timestamp();
+    return out;
+  } catch (const Error& e) {
+    throw Error(verb + " aborted: " + path + ": " + e.what());
+  }
 }
 
 /// End-of-run stage timing table from the span histograms: one row per
@@ -329,14 +339,20 @@ void report_observability(bool stats, const std::optional<std::string>& trace_ou
   }
 }
 
+/// Distinct items of a vector, which it sorts.
+template <typename T>
+std::size_t count_distinct(std::vector<T>& items) {
+  std::sort(items.begin(), items.end());
+  return static_cast<std::size_t>(std::unique(items.begin(), items.end()) - items.begin());
+}
+
 /// Distinct ASes on the AS paths of a RIB.
 std::size_t count_distinct_ases(const mrt::ObservedRib& rib) {
   std::vector<Asn> ases;
   for (const auto& route : rib.routes()) {
     ases.insert(ases.end(), route.as_path.begin(), route.as_path.end());
   }
-  std::sort(ases.begin(), ases.end());
-  return static_cast<std::size_t>(std::unique(ases.begin(), ases.end()) - ases.begin());
+  return count_distinct(ases);
 }
 
 /// Distinct prefixes of a RIB, both families.
@@ -344,24 +360,16 @@ std::size_t count_distinct_prefixes(const mrt::ObservedRib& rib) {
   std::vector<Prefix> prefixes;
   prefixes.reserve(rib.size());
   for (const auto& route : rib.routes()) prefixes.push_back(route.prefix);
-  std::sort(prefixes.begin(), prefixes.end());
-  return static_cast<std::size_t>(std::unique(prefixes.begin(), prefixes.end()) -
-                                  prefixes.begin());
+  return count_distinct(prefixes);
 }
 
 int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::size_t jobs,
                const std::optional<std::string>& snapshot_out, bool stats,
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
-  // Fail fast on unreadable or truncated input: no partial census is ever
-  // printed — the single diagnostic below names the file and the reason.
   ThreadPool pool(jobs);
-  mrt::ObservedRib rib;
-  try {
-    rib = core::load_rib(mrt_path, pool);
-  } catch (const Error& e) {
-    throw Error("census aborted: " + mrt_path + ": " + e.what());
-  }
+  const LoadedRib loaded = load_rib_once("census", mrt_path, pool);
+  const mrt::ObservedRib& rib = loaded.rib;
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
   std::cout << mrt_path << ": " << rib.size() << " routes ("
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
@@ -415,25 +423,19 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
           std::to_string(census.v4_links + census.v6_links - census.dual_links)});
   ds.print(std::cout);
 
-  // Link-vote heavy hitters: one CMS feed per census from the post-merge,
-  // sorted tallies, so the table is identical at every --jobs and for both
-  // ingest paths.
-  const auto sketch = obs::sketch::Telemetry::global().snapshot();
-  if (!sketch.top_link_votes.empty()) {
-    std::cout << "\nmost-voted links (CMS estimates):\n";
-    Table votes({"link", "~votes"});
-    for (std::size_t i = 0; i < sketch.top_link_votes.size() && i < 10; ++i) {
-      const auto& hh = sketch.top_link_votes[i];
-      const auto a = static_cast<std::uint32_t>(hh.item >> 32);
-      const auto b = static_cast<std::uint32_t>(hh.item);
-      votes.row({"AS" + std::to_string(a) + "-AS" + std::to_string(b),
-                 std::to_string(hh.estimate)});
+  // Community votes per link, both families summed: an exact top-10.
+  if (!census.inferred.top_link_votes.empty()) {
+    std::cout << "\nmost-voted links:\n";
+    Table votes({"link", "votes"});
+    for (const auto& [link, total] : census.inferred.top_link_votes) {
+      votes.row({"AS" + std::to_string(link.first) + "-AS" + std::to_string(link.second),
+                 std::to_string(total)});
     }
     votes.print(std::cout);
   }
 
   if (snapshot_out) {
-    const auto snap = core::to_snapshot(census, mrt_path, rib_epoch(mrt_path));
+    const auto snap = core::to_snapshot(census, mrt_path, loaded.epoch);
     snapshot::Writer::write_file(snap, *snapshot_out);
     std::cout << "\nwrote snapshot " << *snapshot_out << " (v4 links "
               << snap.rels_v4.size() << ", v6 links " << snap.rels_v6.size() << ", hybrids "
@@ -444,27 +446,22 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
 }
 
 int cmd_inspect(const std::string& mrt_path) {
-  // Streamed record-at-a-time decode: constant memory however large the dump.
-  // Fixed-size sketches keep that property — estimates instead of exact
-  // per-entity sets, since nothing here holds the RIB.
+  // Streamed record-at-a-time decode.  The counts are exact: every prefix,
+  // AS and link seen is kept and deduplicated at the end, so memory grows
+  // with the dump (as the census's "dataset:" table, which holds the RIB).
   mrt::MrtStreamReader stream(mrt_path);
-  obs::sketch::Hll ases{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll prefixes{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll links{obs::sketch::Hll::kDefaultPrecision, obs::sketch::kTelemetrySeed};
-  obs::sketch::Cms origins{obs::sketch::Cms::kDefaultWidthLog2, obs::sketch::Cms::kDefaultDepth,
-                           obs::sketch::Cms::kDefaultTopK, obs::sketch::kTelemetrySeed};
-  // One route: its prefix, every AS on the path (prepends collapsed), every
-  // adjacent link, and its origin AS (last hop) as one more route for it.
-  const auto add_route = [&](const Prefix& prefix, const std::vector<Asn>& as_path) {
-    prefixes.add(obs::sketch::prefix_item(prefix));
-    const Asn* prev = nullptr;
-    for (const Asn& asn : as_path) {
-      if (prev != nullptr && asn == *prev) continue;
-      ases.add(obs::sketch::as_item(asn));
-      if (prev != nullptr) links.add(obs::sketch::link_item(*prev, asn));
-      prev = &asn;
+  std::vector<Prefix> prefixes;
+  std::vector<Asn> ases;
+  std::vector<LinkKey> links;
+  std::vector<Asn> origins;  ///< one per route: its origin AS (last hop)
+  // One route: every AS on the path, every adjacent link (prepends
+  // collapsed), and its origin.
+  const auto add_route = [&](const std::vector<Asn>& as_path) {
+    for (std::size_t i = 0; i < as_path.size(); ++i) {
+      ases.push_back(as_path[i]);
+      if (i > 0 && as_path[i] != as_path[i - 1]) links.emplace_back(as_path[i - 1], as_path[i]);
     }
-    if (prev != nullptr) origins.update(obs::sketch::as_item(*prev));
+    if (!as_path.empty()) origins.push_back(as_path.back());
   };
   std::size_t pit = 0;
   std::size_t rib4 = 0;
@@ -480,9 +477,8 @@ int cmd_inspect(const std::string& mrt_path) {
     } else if (const auto* r = std::get_if<mrt::RibPrefixRecord>(&record.body)) {
       (r->prefix.version() == IpVersion::V4 ? rib4 : rib6) += 1;
       entries += r->entries.size();
-      for (const auto& entry : r->entries) {
-        add_route(r->prefix, entry.attrs.as_path.flatten());
-      }
+      if (!r->entries.empty()) prefixes.push_back(r->prefix);
+      for (const auto& entry : r->entries) add_route(entry.attrs.as_path.flatten());
     } else if (std::holds_alternative<mrt::Bgp4mpMessage>(record.body)) {
       ++bgp4mp;
     } else {
@@ -497,16 +493,26 @@ int cmd_inspect(const std::string& mrt_path) {
             << "  BGP4MP:           " << bgp4mp << "\n"
             << "  other/raw:        " << raw << "\n"
             << "  RIB entries:      " << entries << "\n"
-            << "  unique ASes:      ~" << ases.estimate_count() << "\n"
-            << "  unique prefixes:  ~" << prefixes.estimate_count() << "\n"
-            << "  unique AS links:  ~" << links.estimate_count() << "\n";
-  const auto top = origins.top();
-  if (!top.empty()) {
-    std::cout << "\ntop origin ASes by RIB routes (CMS estimates over "
-              << origins.total_weight() << " routes):\n";
-    Table t({"origin", "~routes"});
-    for (std::size_t i = 0; i < top.size() && i < 10; ++i) {
-      t.row({"AS" + std::to_string(top[i].item), std::to_string(top[i].estimate)});
+            << "  unique ASes:      " << count_distinct(ases) << "\n"
+            << "  unique prefixes:  " << count_distinct(prefixes) << "\n"
+            << "  unique AS links:  " << count_distinct(links) << "\n";
+  if (!origins.empty()) {
+    // Routes per origin off the sorted origins, then the ten with the most.
+    std::sort(origins.begin(), origins.end());
+    std::vector<std::pair<Asn, std::uint64_t>> top;
+    for (const Asn origin : origins) {
+      if (top.empty() || top.back().first != origin) top.emplace_back(origin, 0);
+      ++top.back().second;
+    }
+    const std::size_t shown = std::min<std::size_t>(top.size(), 10);
+    std::partial_sort(top.begin(), top.begin() + static_cast<long>(shown), top.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.second != b.second ? a.second > b.second : a.first < b.first;
+                      });
+    std::cout << "\ntop origin ASes by RIB routes (of " << origins.size() << " routes):\n";
+    Table t({"origin", "routes"});
+    for (std::size_t i = 0; i < shown; ++i) {
+      t.row({"AS" + std::to_string(top[i].first), std::to_string(top[i].second)});
     }
     t.print(std::cout);
   }
@@ -675,10 +681,6 @@ void serve_signal(int sig) {
 }
 
 int cmd_serve(const std::string& snap_path, std::uint16_t port, std::size_t jobs) {
-  // Touch the sketch telemetry singleton so the htor_sketch_* gauges exist
-  // (as zeros) on a snapshot-serving daemon too — a scrape config sees the
-  // same series whether or not this process ever ingested a RIB.
-  (void)obs::sketch::Telemetry::global();
   server::DaemonConfig config;
   config.port = port;
   config.jobs = jobs;
@@ -717,12 +719,8 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
   ThreadPool pool(jobs);
-  mrt::ObservedRib rib;
-  try {
-    rib = core::load_rib(rib_path, pool);
-  } catch (const Error& e) {
-    throw Error("follow aborted: " + rib_path + ": " + e.what());
-  }
+  const LoadedRib loaded = load_rib_once("follow", rib_path, pool);
+  const mrt::ObservedRib& rib = loaded.rib;
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
   std::cout << rib_path << ": seeded " << rib.size() << " routes ("
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
@@ -730,8 +728,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
 
   core::InferenceConfig config;
   config.threads = jobs;
-  live::IncrementalCensus census(rib, dict, config, rib_path,
-                                 static_cast<std::uint32_t>(rib_epoch(rib_path)));
+  live::IncrementalCensus census(rib, dict, config, rib_path, loaded.epoch);
 
   live::PipelineConfig pipeline_config;
   pipeline_config.ring_capacity = ring_capacity;
@@ -746,8 +743,8 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
               << epoch.applied << ", routes " << census.rib().size() << ", v6 links "
               << r.v6_links << ", typed v6 "
               << r.v6_coverage.covered_links << ", dual " << r.dual_links << ", hybrids "
-              << r.hybrids.hybrids.size() << ", churn ~" << epoch.churn_ases << " AS/~"
-              << epoch.churn_prefixes << " pfx/~" << epoch.churn_links << " link\n";
+              << r.hybrids.hybrids.size() << ", churn " << epoch.churn_ases << " AS/"
+              << epoch.churn_prefixes << " pfx/" << epoch.churn_links << " link\n";
   });
 
   const auto& apply = census.rib().stats();

@@ -44,11 +44,13 @@ enforces them over ``src/`` and ``tools/``:
                     documents itself with an allow comment.
   raw-hash          a well-known hash constant (the splitmix64 increment or
                     multipliers, the FNV-1a offset basis / prime in hex or
-                    decimal) outside util/hash.hpp.  Hand-rolled hash
-                    functions silently fork the mixing the mergeable
-                    sketches depend on — two sketches built with different
-                    mixes merge without error and report garbage.  Hash an
-                    item through util/hash's splitmix64/hash64 instead.
+                    decimal) outside util/hash.hpp.  gen and propagation
+                    draw every per-(AS, origin) decision from util/hash's
+                    one audited, platform-independent mix; that is what
+                    makes a seed reproduce the same internet on every
+                    machine.  A hand-rolled hash forks that construction
+                    silently.  Hash through util/hash's splitmix64/hash_mix
+                    instead.
   pragma-once       every header starts its include guard with
                     ``#pragma once``.
   namespace         every file under src/ opens a ``namespace htor`` (or a
@@ -95,8 +97,8 @@ MMAP_HOME = re.compile(r"(^|/)src/(util/mmap_file|snapshot/layout[^/]*)\.(hpp|cp
 # live pipeline's htor_live_ring_depth callback gauges instead.
 OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool|util/spsc_ring)\.(hpp|cpp)$")
 # The one home for the well-known hash constants: util/hash's mixing
-# primitives.  Everything else takes splitmix64/hash64 from there so every
-# sketch in the process mixes identically.
+# primitives.  Everything else takes splitmix64/hash_mix from there so the
+# generator's and the propagation engine's draws stay deterministic.
 HASH_HOME = re.compile(r"(^|/)src/util/hash\.(hpp|cpp)$")
 
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)\s*(.*)$")
@@ -209,7 +211,7 @@ LINE_RULES = [
             re.IGNORECASE,
         ),
         "hand-rolled hash constant outside util/hash.hpp; use "
-        "util/hash splitmix64/hash64 so every sketch mixes identically, "
+        "util/hash splitmix64/hash_mix so gen/propagation stay deterministic, "
         "or justify with an allow comment",
         _not_hash_home,
     ),
