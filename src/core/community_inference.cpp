@@ -1,6 +1,6 @@
 #include "core/community_inference.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "core/parallel.hpp"
 
@@ -38,9 +38,6 @@ Relationship rel_from_index(std::size_t i) {
   }
 }
 
-/// Sentinel for an ASN that occurs more than once on a collapsed path.
-constexpr std::size_t kAmbiguousPosition = static_cast<std::size_t>(-1);
-
 }  // namespace
 
 void CommunityVotes::merge(const CommunityVotes& other) {
@@ -52,50 +49,45 @@ void CommunityVotes::merge(const CommunityVotes& other) {
   total_votes += other.total_votes;
 }
 
+void count_route_votes(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                       CommunityVotes& out) {
+  const std::vector<Asn> chain = collapse(route.as_path);
+  if (chain.size() < 2) return;
+
+  bool contributed = false;
+  for (bgp::Community community : route.communities) {
+    const rpsl::CommunityMeaning* meaning = dict.lookup(community);
+    if (meaning == nullptr || !rpsl::is_relationship_tag(meaning->kind)) continue;
+
+    // Localize: the tagging AS must sit on this path exactly once, with a
+    // next hop toward the origin.  An ASN appearing twice post-collapse
+    // means a looped/poisoned path: its tag cannot be localized to one link.
+    const auto first = std::find(chain.begin(), chain.end(), community.asn());
+    if (first == chain.end() || first + 1 == chain.end() ||
+        std::find(first + 1, chain.end(), community.asn()) != chain.end()) {
+      continue;
+    }
+    const Asn tagger = *first;
+    const Asn from = *(first + 1);
+
+    const Relationship rel = rpsl::relationship_of(meaning->kind);  // rel(tagger, from)
+    const LinkKey key(tagger, from);
+    const Relationship canonical = key.first == tagger ? rel : reverse(rel);
+    const std::size_t idx = rel_index(canonical);
+    if (idx >= 4) continue;
+    ++out.votes[key][idx];
+    ++out.total_votes;
+    contributed = true;
+  }
+  if (contributed) ++out.tagged_routes;
+}
+
 CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>& routes,
                                     std::size_t begin, std::size_t end,
                                     const rpsl::CommunityDictionary& dict) {
   CommunityVotes out;
-  std::unordered_map<Asn, std::size_t> position;  // reused per route
   for (std::size_t r = begin; r < end && r < routes.size(); ++r) {
-    const mrt::ObservedRoute* route = routes[r];
-    const std::vector<Asn> chain = collapse(route->as_path);
-    if (chain.size() < 2) continue;
-
-    position.clear();
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      // An ASN appearing twice post-collapse means a looped/poisoned path:
-      // a tag from that AS cannot be localized to one link, so mark it
-      // ambiguous instead of silently keeping the first occurrence.
-      auto [it, inserted] = position.emplace(chain[i], i);
-      if (!inserted) it->second = kAmbiguousPosition;
-    }
-
-    bool contributed = false;
-    for (bgp::Community community : route->communities) {
-      const rpsl::CommunityMeaning* meaning = dict.lookup(community);
-      if (meaning == nullptr || !rpsl::is_relationship_tag(meaning->kind)) continue;
-
-      // Localize: the tagging AS must sit on this path exactly once, with a
-      // next hop toward the origin.
-      auto it = position.find(community.asn());
-      if (it == position.end() || it->second == kAmbiguousPosition ||
-          it->second + 1 >= chain.size()) {
-        continue;
-      }
-      const Asn tagger = chain[it->second];
-      const Asn from = chain[it->second + 1];
-
-      const Relationship rel = rpsl::relationship_of(meaning->kind);  // rel(tagger, from)
-      const LinkKey key(tagger, from);
-      const Relationship canonical = key.first == tagger ? rel : reverse(rel);
-      const std::size_t idx = rel_index(canonical);
-      if (idx >= 4) continue;
-      ++out.votes[key][idx];
-      ++out.total_votes;
-      contributed = true;
-    }
-    if (contributed) ++out.tagged_routes;
+    count_route_votes(*routes[r], dict, out);
   }
   return out;
 }

@@ -49,6 +49,11 @@ struct CommunityVotes {
   void merge(const CommunityVotes& other);
 };
 
+/// Add one route's localizable relationship tags to `out`.  A pure function
+/// of the route, so a live census retracts exactly what it once added.
+void count_route_votes(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                       CommunityVotes& out);
+
 /// Scan routes[begin, end) for localizable relationship tags.
 CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>& routes,
                                     std::size_t begin, std::size_t end,

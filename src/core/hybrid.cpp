@@ -1,7 +1,8 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "core/parallel.hpp"
 
 namespace htor::core {
 
@@ -28,13 +29,14 @@ HybridClass classify(Relationship v4, Relationship v6) {
 
 }  // namespace
 
-HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const RelationshipMap& v4,
-                            const RelationshipMap& v6, const PathStore& v6_paths,
-                            const std::unordered_map<Asn, Tier>* tiers) {
+HybridReport classify_hybrid_links(const std::vector<LinkKey>& dual_links,
+                                   const RelationshipMap& v4, const RelationshipMap& v6,
+                                   const PathStore& v6_paths,
+                                   const std::unordered_map<Asn, Tier>* tiers) {
   HybridReport report;
   report.dual_links_observed = dual_links.size();
+  report.v6_paths_total = v6_paths.unique_paths();
 
-  std::unordered_set<LinkKey, LinkKeyHash> hybrid_set;
   for (const LinkKey& key : dual_links) {
     const Relationship r4 = v4.get(key.first, key.second);
     const Relationship r6 = v6.get(key.first, key.second);
@@ -60,7 +62,6 @@ HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const Relati
         if (it != tiers->end()) ++report.endpoint_tiers[it->second];
       }
     }
-    hybrid_set.insert(key);
     report.hybrids.push_back(std::move(finding));
   }
 
@@ -71,17 +72,32 @@ HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const Relati
               }
               return a.link < b.link;
             });
+  return report;
+}
 
-  report.v6_paths_total = v6_paths.unique_paths();
-  v6_paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (path[i] == path[i + 1]) continue;
-      if (hybrid_set.count(LinkKey(path[i], path[i + 1]))) {
-        ++report.v6_paths_with_hybrid;
-        return;
-      }
-    }
-  });
+std::vector<LinkKey> hybrid_links(const HybridReport& report) {
+  std::vector<LinkKey> out;
+  out.reserve(report.hybrids.size());
+  for (const HybridFinding& finding : report.hybrids) out.push_back(finding.link);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const RelationshipMap& v4,
+                            const RelationshipMap& v6, const PathStore& v6_paths,
+                            ThreadPool& pool, const std::unordered_map<Asn, Tier>* tiers) {
+  HybridReport report = classify_hybrid_links(dual_links, v4, v6, v6_paths, tiers);
+  const std::vector<LinkKey> hybrids = hybrid_links(report);
+  report.v6_paths_with_hybrid = shard_map_reduce(
+      pool, v6_paths.unique_paths(),
+      [&v6_paths, &hybrids](const ShardRange& range) {
+        std::uint64_t crossing = 0;
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          if (crosses_link(v6_paths.path(i), hybrids)) ++crossing;
+        }
+        return crossing;
+      },
+      std::uint64_t{0}, [](std::uint64_t& acc, std::uint64_t shard) { acc += shard; });
   return report;
 }
 

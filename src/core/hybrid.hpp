@@ -14,6 +14,7 @@
 #include "topology/path_store.hpp"
 #include "topology/relationship.hpp"
 #include "topology/tier.hpp"
+#include "util/thread_pool.hpp"
 
 namespace htor::core {
 
@@ -32,6 +33,8 @@ struct HybridFinding {
   Relationship rel_v6 = Relationship::Unknown;
   HybridClass cls = HybridClass::OtherMix;
   std::uint64_t v6_path_visibility = 0;  ///< distinct IPv6 paths crossing the link
+
+  friend bool operator==(const HybridFinding&, const HybridFinding&) = default;
 };
 
 struct HybridReport {
@@ -59,10 +62,24 @@ struct HybridReport {
   }
 };
 
-/// Detect hybrids over the observed dual-stack links.
-/// `tiers` (optional) attributes hybrid endpoints to tiers.
+/// The per-link half of the detection over the observed dual-stack links:
+/// everything but v6_paths_with_hybrid, which is left 0.  `tiers`
+/// (optional) attributes hybrid endpoints to tiers.
+HybridReport classify_hybrid_links(const std::vector<LinkKey>& dual_links,
+                                   const RelationshipMap& v4, const RelationshipMap& v6,
+                                   const PathStore& v6_paths,
+                                   const std::unordered_map<Asn, Tier>* tiers = nullptr);
+
+/// The hybrid links of a report, sorted.  v6_paths_with_hybrid counts the
+/// distinct IPv6 paths that cross one of them (crosses_link()).
+std::vector<LinkKey> hybrid_links(const HybridReport& report);
+
+/// Both halves: detect hybrids over the observed dual-stack links and count
+/// the IPv6 paths that cross one, sharded on `pool` (the count is a sum, so
+/// any pool size gives the same result).
 HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const RelationshipMap& v4,
                             const RelationshipMap& v6, const PathStore& v6_paths,
+                            ThreadPool& pool,
                             const std::unordered_map<Asn, Tier>* tiers = nullptr);
 
 }  // namespace htor::core

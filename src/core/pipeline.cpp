@@ -9,37 +9,21 @@
 
 namespace htor::core {
 
-mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool) {
+StampedRib load_stamped_rib(const std::string& path, ThreadPool& pool) {
   mrt::MrtStreamReader stream(path);
-  return mrt::rib_from_stream(stream, pool);
+  StampedRib out{mrt::rib_from_stream(stream, pool)};
+  out.first_timestamp = stream.first_timestamp();
+  return out;
 }
 
-namespace {
-
-/// Merge every shard future in order; on failure keep draining (the tasks
-/// reference caller-owned route lists) and rethrow the first error.
-CommunityVotes collect_votes(std::vector<std::future<CommunityVotes>>& futures,
-                             std::exception_ptr& first_error) {
-  CommunityVotes merged;
-  for (auto& future : futures) {
-    try {
-      merged.merge(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  return merged;
+mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool) {
+  return load_stamped_rib(path, pool).rib;
 }
-
-}  // namespace
 
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool) {
-  const auto v4_routes = rib.routes_of(IpVersion::V4);
-  const auto v6_routes = rib.routes_of(IpVersion::V6);
-  return finish_inference(infer_communities(v4_routes, v6_routes, dict, config.community, pool),
-                          v4_routes, v6_routes, dict, config, pool);
+  return finish_inference(scan_inference_inputs(rib, dict, config.community, pool), dict, config);
 }
 
 void TopLinkVotes::offer(const LinkKey& link, std::uint64_t votes) {
@@ -58,27 +42,60 @@ std::uint64_t vote_total(const std::array<std::uint32_t, 4>& votes) {
   return total;
 }
 
-CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*>& v4_routes,
-                                     const std::vector<const mrt::ObservedRoute*>& v6_routes,
-                                     const rpsl::CommunityDictionary& dict,
-                                     const CommunityInferenceParams& params, ThreadPool& pool) {
-  OBS_SPAN("census.infer.community");
-  auto submit_scans = [&pool, &dict](const std::vector<const mrt::ObservedRoute*>& routes) {
-    std::vector<std::future<CommunityVotes>> futures;
-    for (const ShardRange& range : shard_ranges(routes.size())) {
-      futures.push_back(pool.submit([&routes, &dict, range] {
-        return scan_community_votes(routes, range.begin, range.end, dict);
-      }));
-    }
-    return futures;
-  };
-  std::exception_ptr first_error;
-  auto v4_futures = submit_scans(v4_routes);
-  auto v6_futures = submit_scans(v6_routes);
-  const CommunityVotes v4_votes = collect_votes(v4_futures, first_error);
-  const CommunityVotes v6_votes = collect_votes(v6_futures, first_error);
-  if (first_error) std::rethrow_exception(first_error);
+namespace {
 
+/// One shard of the route scan: both families' votes and first-hop tables.
+struct RouteScan {
+  CommunityVotes v4_votes;
+  CommunityVotes v6_votes;
+  FirstHopTable v4_first_hops;
+  FirstHopTable v6_first_hops;
+};
+
+}  // namespace
+
+InferenceInputs scan_inference_inputs(const mrt::ObservedRib& rib,
+                                      const rpsl::CommunityDictionary& dict,
+                                      const CommunityInferenceParams& params, ThreadPool& pool) {
+  OBS_SPAN("census.infer.community");
+  const std::vector<mrt::ObservedRoute>& routes = rib.routes();
+  RouteScan scan = shard_map_reduce(
+      pool, routes.size(),
+      [&routes, &dict](const ShardRange& range) {
+        RouteScan shard;
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+          const mrt::ObservedRoute& route = routes[i];
+          const bool v4 = route.af == IpVersion::V4;
+          count_route_votes(route, dict, v4 ? shard.v4_votes : shard.v6_votes);
+          (v4 ? shard.v4_first_hops : shard.v6_first_hops).count(route, dict, +1);
+        }
+        return shard;
+      },
+      RouteScan{},
+      [](RouteScan& acc, RouteScan&& shard) {
+        acc.v4_votes.merge(shard.v4_votes);
+        acc.v6_votes.merge(shard.v6_votes);
+        acc.v4_first_hops.merge(shard.v4_first_hops);
+        acc.v6_first_hops.merge(shard.v6_first_hops);
+      });
+
+  const auto walk = [&routes](IpVersion af) -> RouteWalk {
+    return [&routes, af](const RouteVisitor& visit) {
+      for (const mrt::ObservedRoute& route : routes) {
+        if (route.af == af && !visit(route)) return;
+      }
+    };
+  };
+  InferenceInputs out;
+  out.community = tally_communities(scan.v4_votes, scan.v6_votes, params);
+  out.v4_rosetta = {std::move(scan.v4_first_hops), walk(IpVersion::V4)};
+  out.v6_rosetta = {std::move(scan.v6_first_hops), walk(IpVersion::V6)};
+  return out;
+}
+
+CommunityInference tally_communities(const CommunityVotes& v4_votes,
+                                     const CommunityVotes& v6_votes,
+                                     const CommunityInferenceParams& params) {
   CommunityInference out;
   // A link voted in both families is offered once, from its v4 entry.
   TopLinkVotes top;
@@ -96,44 +113,24 @@ CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*
   return out;
 }
 
-InferredRelationships finish_inference(CommunityInference community,
-                                       const std::vector<const mrt::ObservedRoute*>& v4_routes,
-                                       const std::vector<const mrt::ObservedRoute*>& v6_routes,
+InferredRelationships finish_inference(InferenceInputs inputs,
                                        const rpsl::CommunityDictionary& dict,
-                                       const InferenceConfig& config, ThreadPool& pool) {
+                                       const InferenceConfig& config) {
   InferredRelationships out;
-  out.top_link_votes = std::move(community.top_link_votes);
-  out.community_v4 = std::move(community.v4);
-  out.community_v6 = std::move(community.v6);
+  out.top_link_votes = std::move(inputs.community.top_link_votes);
+  out.community_v4 = std::move(inputs.community.v4);
+  out.community_v6 = std::move(inputs.community.v6);
   out.v4 = out.community_v4.rels;
   out.v6 = out.community_v6.rels;
   if (!config.use_rosetta) return out;
 
-  // Two independent pool tasks: each reads only its own family's routes and
-  // community map.
+  // Rosetta fills only links communities left Unknown, v4 first, then v6.
   OBS_SPAN("census.infer.rosetta");
-  auto v4_rosetta =
-      pool.submit([&] { return run_rosetta(v4_routes, dict, out.v4, config.rosetta); });
-  auto v6_rosetta =
-      pool.submit([&] { return run_rosetta(v6_routes, dict, out.v6, config.rosetta); });
-  std::exception_ptr first_error;
-  try {
-    out.rosetta_v4 = v4_rosetta.get();
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  try {
-    out.rosetta_v6 = v6_rosetta.get();
-  } catch (...) {
-    if (!first_error) first_error = std::current_exception();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Deterministic merge: Rosetta fills only links communities left
-  // Unknown, applied v4 first, then v6.
   for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-    auto& rels = af == IpVersion::V4 ? out.v4 : out.v6;
-    const auto& rosetta = af == IpVersion::V4 ? out.rosetta_v4 : out.rosetta_v6;
+    const bool v4 = af == IpVersion::V4;
+    auto& rels = v4 ? out.v4 : out.v6;
+    auto& rosetta = v4 ? out.rosetta_v4 : out.rosetta_v6;
+    rosetta = run_rosetta(v4 ? inputs.v4_rosetta : inputs.v6_rosetta, dict, rels, config.rosetta);
     rosetta.first_hop_rels.for_each([&rels](const LinkKey& key, Relationship rel) {
       if (rels.get(key.first, key.second) == Relationship::Unknown) {
         rels.set(key.first, key.second, rel);

@@ -27,10 +27,21 @@ struct InferenceConfig {
   std::size_t threads = 1;
 };
 
-/// Load a collector RIB from the MRT file at `path`: the one ingest path,
-/// mrt::rib_from_stream over a file MrtStreamReader, with the fixed batch
-/// size (byte-identical RIB at any pool size).  Throws Error when the file
-/// cannot be read and DecodeError on malformed input.
+/// A collector RIB and the MRT timestamp of its dump's first record.  The
+/// timestamp (not wall clock) stamps the RIB's snapshots, so re-running a
+/// census on the same input reproduces its snapshot byte for byte.
+struct StampedRib {
+  mrt::ObservedRib rib;
+  std::uint32_t first_timestamp = 0;
+};
+
+/// Load a collector RIB from the MRT file (or pipe) at `path` in one pass:
+/// the one ingest path, mrt::rib_from_stream over a MrtStreamReader, with
+/// the fixed batch size (byte-identical RIB at any pool size).  Throws
+/// Error when the file cannot be read and DecodeError on malformed input.
+StampedRib load_stamped_rib(const std::string& path, ThreadPool& pool);
+
+/// load_stamped_rib without the timestamp.
 mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool);
 
 struct CoverageStats {
@@ -93,27 +104,38 @@ struct CommunityInference {
   std::vector<LinkVotes> top_link_votes;
 };
 
-/// Community inference over each family's routes.  The per-route scans of
-/// both families are submitted before either is collected, so their shards
-/// interleave on the pool; shard count and merge order are fixed, so any
-/// pool size gives the same result.
-CommunityInference infer_communities(const std::vector<const mrt::ObservedRoute*>& v4_routes,
-                                     const std::vector<const mrt::ObservedRoute*>& v6_routes,
-                                     const rpsl::CommunityDictionary& dict,
-                                     const CommunityInferenceParams& params, ThreadPool& pool);
+/// Tally both families' votes and pick the most-voted links.
+CommunityInference tally_communities(const CommunityVotes& v4_votes,
+                                     const CommunityVotes& v6_votes,
+                                     const CommunityInferenceParams& params);
+
+/// What the inference reads of a RIB: the community half, tallied, and
+/// each family's Rosetta input.
+struct InferenceInputs {
+  CommunityInference community;
+  RosettaInput v4_rosetta;
+  RosettaInput v6_rosetta;
+};
+
+/// The inference inputs of `rib` from one sharded pass over its routes
+/// (census.infer.community): each route casts its community votes and is
+/// counted into its family's first-hop table.  Both are sums, merged in
+/// shard order, so any pool size gives the same result.  The Rosetta walks
+/// read `rib`, which must outlive them.
+InferenceInputs scan_inference_inputs(const mrt::ObservedRib& rib,
+                                      const rpsl::CommunityDictionary& dict,
+                                      const CommunityInferenceParams& params, ThreadPool& pool);
 
 /// The rest of the inference once communities are tallied: (with
-/// config.use_rosetta) run one Rosetta pass per family as two pool tasks
-/// over the same routes, and let it type only the links communities left
-/// Unknown, v4 first, then v6.
-InferredRelationships finish_inference(CommunityInference community,
-                                       const std::vector<const mrt::ObservedRoute*>& v4_routes,
-                                       const std::vector<const mrt::ObservedRoute*>& v6_routes,
+/// config.use_rosetta) run one Rosetta pass per family over its first-hop
+/// table, and let it type only the links communities left Unknown, v4
+/// first, then v6.
+InferredRelationships finish_inference(InferenceInputs inputs,
                                        const rpsl::CommunityDictionary& dict,
-                                       const InferenceConfig& config, ThreadPool& pool);
+                                       const InferenceConfig& config);
 
 /// Run the full inference over a collector RIB on the caller's pool:
-/// infer_communities, then finish_inference.
+/// scan_inference_inputs, then finish_inference.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);

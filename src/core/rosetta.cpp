@@ -1,7 +1,7 @@
 #include "core/rosetta.hpp"
 
 #include <array>
-#include <unordered_map>
+#include <utility>
 
 namespace htor::core {
 
@@ -23,15 +23,16 @@ Relationship rel_from_index(std::size_t i) {
   return i < 4 ? kRels[i] : Relationship::Unknown;
 }
 
-/// First link of the route after collapsing prepends; false when the path is
-/// too short.
-bool first_hop(const mrt::ObservedRoute& route, Asn& vantage, Asn& next) {
+/// The route's first hop: its LocPrf and first link after collapsing
+/// prepends; false when there is no LocPrf or the path is too short.
+bool first_hop(const mrt::ObservedRoute& route, FirstHop& out) {
   const auto& p = route.as_path;
-  if (p.empty()) return false;
-  vantage = p.front();
+  if (!route.local_pref || p.empty()) return false;
+  out.vantage = p.front();
+  out.local_pref = *route.local_pref;
   for (Asn a : p) {
-    if (a != vantage) {
-      next = a;
+    if (a != out.vantage) {
+      out.next = a;
       return true;
     }
   }
@@ -53,49 +54,60 @@ bool has_te_override(const mrt::ObservedRoute& route, Asn asn,
   return false;
 }
 
+/// The routes of `n` Rosetta may read under `params`.
+std::uint64_t usable(const FirstHopRoutes& n, const RosettaParams& params) {
+  return n.clean + (params.filter_te ? 0 : n.te);
+}
+
 }  // namespace
 
-RosettaResult run_rosetta(const std::vector<const mrt::ObservedRoute*>& routes,
-                          const rpsl::CommunityDictionary& dict, const RelationshipMap& known,
-                          const RosettaParams& params) {
+void FirstHopTable::count(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                          int sign) {
+  FirstHop hop;
+  if (!first_hop(route, hop)) return;
+  const bool te = has_te_override(route, hop.vantage, dict);
+  if (sign > 0) {
+    FirstHopRoutes& n = entries_[hop];
+    ++(te ? n.te : n.clean);
+    return;
+  }
+  auto it = entries_.find(hop);
+  if (it == entries_.end()) return;
+  --(te ? it->second.te : it->second.clean);
+  if (it->second == FirstHopRoutes{}) entries_.erase(it);
+}
+
+void FirstHopTable::merge(const FirstHopTable& other) {
+  for (const auto& [hop, n] : other.entries_) {
+    FirstHopRoutes& mine = entries_[hop];
+    mine.clean += n.clean;
+    mine.te += n.te;
+  }
+}
+
+RosettaResult run_rosetta(const RosettaInput& input, const rpsl::CommunityDictionary& dict,
+                          const RelationshipMap& known, const RosettaParams& params) {
   RosettaResult result;
+  const FirstHopTable& table = input.first_hops;
 
-  // Learning pass: (vantage, locpref) -> per-relationship sample counts.
-  struct Key {
-    Asn vantage;
-    std::uint32_t locpref;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>()(static_cast<std::uint64_t>(k.vantage) << 32 | k.locpref);
-    }
-  };
-  std::unordered_map<Key, std::array<std::uint32_t, 4>, KeyHash> samples;
-
-  for (const mrt::ObservedRoute* route : routes) {
-    if (!route->local_pref) continue;
-    Asn vantage = 0;
-    Asn next = 0;
-    if (!first_hop(*route, vantage, next)) continue;
-    if (params.filter_te && has_te_override(*route, vantage, dict)) {
-      ++result.routes_te_filtered;
-      continue;
-    }
-    const Relationship rel = known.get(vantage, next);
-    if (rel == Relationship::Unknown) continue;
-    const std::size_t idx = rel_index(rel);
+  // Learning: (vantage, locpref) -> per-relationship sample counts.
+  std::map<std::pair<Asn, std::uint32_t>, std::array<std::uint64_t, 4>> samples;
+  for (const auto& [hop, n] : table.entries()) {
+    if (params.filter_te) result.routes_te_filtered += n.te;
+    const std::uint64_t count = usable(n, params);
+    if (count == 0) continue;
+    const std::size_t idx = rel_index(known.get(hop.vantage, hop.next));
     if (idx >= 4) continue;
-    ++samples[Key{vantage, *route->local_pref}][idx];
+    samples[{hop.vantage, hop.local_pref}][idx] += count;
   }
 
   // Consolidate: a value is usable when exactly one relationship explains
   // all its samples and the sample count clears the threshold.
-  std::unordered_map<Key, Relationship, KeyHash> translation;
+  std::map<std::pair<Asn, std::uint32_t>, Relationship> translation;
   for (const auto& [key, counts] : samples) {
     std::size_t nonzero = 0;
     std::size_t winner = 0;
-    std::uint32_t total = 0;
+    std::uint64_t total = 0;
     for (std::size_t i = 0; i < 4; ++i) {
       total += counts[i];
       if (counts[i] > 0) {
@@ -111,22 +123,55 @@ RosettaResult run_rosetta(const std::vector<const mrt::ObservedRoute*>& routes,
     translation.emplace(key, rel_from_index(winner));
     ++result.values_learned;
   }
+  const auto translate = [&translation](const FirstHop& hop) {
+    const auto it = translation.find({hop.vantage, hop.local_pref});
+    return it == translation.end() ? Relationship::Unknown : it->second;
+  };
 
-  // Application pass: type uncovered first-hop links by translated LocPrf.
-  for (const mrt::ObservedRoute* route : routes) {
-    if (!route->local_pref) continue;
-    Asn vantage = 0;
-    Asn next = 0;
-    if (!first_hop(*route, vantage, next)) continue;
-    if (known.get(vantage, next) != Relationship::Unknown) continue;
-    if (params.filter_te && has_te_override(*route, vantage, dict)) continue;
-    auto it = translation.find(Key{vantage, *route->local_pref});
-    if (it == translation.end()) continue;
-    if (result.first_hop_rels.get(vantage, next) == Relationship::Unknown) {
-      result.first_hop_rels.set(vantage, next, it->second);
-    }
-    ++result.routes_resolved;
+  // Application: type each uncovered first-hop link by its translated
+  // LocPrf values, oriented onto the link's canonical direction.
+  struct Fill {
+    Relationship rel = Relationship::Unknown;
+    bool conflicted = false;
+  };
+  std::map<LinkKey, Fill> fills;
+  for (const auto& [hop, n] : table.entries()) {
+    const std::uint64_t count = usable(n, params);
+    if (count == 0 || known.get(hop.vantage, hop.next) != Relationship::Unknown) continue;
+    const Relationship rel = translate(hop);
+    if (rel == Relationship::Unknown) continue;
+    result.routes_resolved += count;
+    const LinkKey key(hop.vantage, hop.next);
+    const Relationship canonical = key.first == hop.vantage ? rel : reverse(rel);
+    const auto [it, inserted] = fills.try_emplace(key, Fill{canonical});
+    if (!inserted && it->second.rel != canonical) it->second.conflicted = true;
   }
+  std::size_t pending = 0;
+  for (const auto& [key, fill] : fills) {
+    if (fill.conflicted) {
+      ++pending;
+    } else {
+      result.first_hop_rels.set(key.first, key.second, fill.rel);
+    }
+  }
+  result.links_conflicted = pending;
+  if (pending == 0) return result;
+
+  // A conflicted link takes the translation of its first translatable
+  // route in RIB order.
+  input.routes([&](const mrt::ObservedRoute& route) {
+    FirstHop hop;
+    if (!first_hop(route, hop)) return true;
+    const LinkKey key(hop.vantage, hop.next);
+    const auto it = fills.find(key);
+    if (it == fills.end() || !it->second.conflicted) return true;
+    if (params.filter_te && has_te_override(route, hop.vantage, dict)) return true;
+    const Relationship rel = translate(hop);
+    if (rel == Relationship::Unknown) return true;
+    result.first_hop_rels.set(hop.vantage, hop.next, rel);
+    it->second.conflicted = false;
+    return --pending > 0;
+  });
   return result;
 }
 

@@ -29,7 +29,8 @@ rpsl::CommunityDictionary load_dictionary(const std::string& irr_path) {
 IncrementalCensus build_census(const std::string& rib_path, ThreadPool& pool,
                                const rpsl::CommunityDictionary& dict,
                                const core::InferenceConfig& inference) {
-  return IncrementalCensus(core::load_rib(rib_path, pool), dict, inference, rib_path);
+  core::StampedRib seed = core::load_stamped_rib(rib_path, pool);
+  return IncrementalCensus(seed.rib, dict, inference, rib_path, seed.first_timestamp);
 }
 
 }  // namespace

@@ -25,18 +25,20 @@ bool IncrementalCensus::LinkState::dead() const {
 }
 
 std::uint32_t& IncrementalCensus::FamilyPaths::overlay_count(const std::vector<Asn>& path) {
-  auto [it, inserted] = overlay.try_emplace(path, 0);
-  if (inserted) it->second = base.count_of(path);
-  return it->second;
+  auto [it, inserted] = overlay.try_emplace(path);
+  if (inserted) it->second.before = it->second.now = base.count_of(path);
+  return it->second.now;
 }
 
-void IncrementalCensus::FamilyPaths::fold() {
-  if (overlay.empty()) return;
-  std::vector<PathChange> changes;
-  changes.reserve(overlay.size());
-  for (const auto& [path, count] : overlay) changes.push_back(PathChange{path, count});
-  base = PathStore::merged(base, changes);
+IncrementalCensus::Overlay IncrementalCensus::FamilyPaths::fold() {
+  Overlay folded = std::move(overlay);
   overlay.clear();
+  if (folded.empty()) return folded;
+  std::vector<PathChange> changes;
+  changes.reserve(folded.size());
+  for (const auto& [path, count] : folded) changes.push_back(PathChange{path, count.now});
+  base = PathStore::merged(base, changes);
+  return folded;
 }
 
 IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
@@ -74,7 +76,11 @@ IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
   rib_.for_each([this](const mrt::ObservedRoute& route) {
     if (route.as_path.size() >= 2) classify_route(route);
     apply_votes(route, +1);
+    (route.af == IpVersion::V4 ? first_hops_v4_ : first_hops_v6_).count(route, dict_, +1);
   });
+  // The first cut counts everything; only later ones count what changed.
+  retallied_v4_.clear();
+  retallied_v6_.clear();
   stats_.routes = rib_.size();
 }
 
@@ -105,6 +111,7 @@ void IncrementalCensus::add_route(const mrt::ObservedRoute& route) {
     classify_route(route);
   }
   apply_votes(route, +1);
+  (v4 ? first_hops_v4_ : first_hops_v6_).count(route, dict_, +1);
 }
 
 void IncrementalCensus::remove_route(const mrt::ObservedRoute& route) {
@@ -117,6 +124,7 @@ void IncrementalCensus::remove_route(const mrt::ObservedRoute& route) {
     }
   }
   apply_votes(route, -1);
+  (v4 ? first_hops_v4_ : first_hops_v6_).count(route, dict_, -1);
 }
 
 void IncrementalCensus::count_path_links(const std::vector<Asn>& path, bool v4, int sign) {
@@ -145,8 +153,8 @@ void IncrementalCensus::count_path_links(const std::vector<Asn>& path, bool v4, 
 }
 
 void IncrementalCensus::apply_votes(const mrt::ObservedRoute& route, int sign) {
-  const std::vector<const mrt::ObservedRoute*> one{&route};
-  const core::CommunityVotes votes = core::scan_community_votes(one, 0, 1, dict_);
+  core::CommunityVotes votes;
+  core::count_route_votes(route, dict_, votes);
   if (votes.votes.empty()) return;
   // The scan is a pure function of the route, so the histogram subtracted at
   // withdraw time is exactly the one added at announce time — retraction is
@@ -199,6 +207,7 @@ void IncrementalCensus::retally(const LinkKey& key, LinkState& state) {
   if (v6.conflicted != state.conflicted_v6) stats_.conflicted_links_v6 += v6.conflicted ? 1 : -1;
 
   if (v4.rel != state.rel_v4) {
+    retallied_v4_.push_back(key);
     if (v4.rel == Relationship::Unknown) {
       rels_v4_.erase(key.first, key.second);
     } else {
@@ -207,6 +216,7 @@ void IncrementalCensus::retally(const LinkKey& key, LinkState& state) {
     state.rel_v4 = v4.rel;
   }
   if (v6.rel != state.rel_v6) {
+    retallied_v6_.push_back(key);
     if (v6.rel == Relationship::Unknown) {
       rels_v6_.erase(key.first, key.second);
     } else {
@@ -285,26 +295,47 @@ EpochReport IncrementalCensus::recompute(ThreadPool& pool) {
   EpochReport epoch;
   epoch.applied = applied_;
   epoch.last_timestamp = applied_ == 0 ? seed_timestamp_ : last_timestamp_;
-  take_churn(epoch);
+  {
+    OBS_SPAN("live.epoch.churn");
+    take_churn(epoch);
+  }
   {
     OBS_SPAN("census");
     core::CensusFront front;
+    // The folded overlays: the census's changed paths point into their keys.
+    Overlay v4_folded;
+    Overlay v6_folded;
     {
       OBS_SPAN("census.paths");
-      paths_v4_.fold();
-      paths_v6_.fold();
+      v4_folded = paths_v4_.fold();
+      v6_folded = paths_v6_.fold();
       front.v4_paths = paths_v4_.base;
       front.v6_paths = paths_v6_.base;
+      for (const auto& [folded, changed] :
+           {std::pair{&v4_folded, &front.v4_changed_paths},
+            std::pair{&v6_folded, &front.v6_changed_paths}}) {
+        changed->reserve(folded->size());
+        for (const auto& [path, count] : *folded) {
+          changed->push_back(core::PathDelta{path, count.before, count.now});
+        }
+      }
     }
     {
       OBS_SPAN("census.infer.community");
-      front.community = maintained_inference();
+      front.inference.community = maintained_inference();
     }
     if (config_.use_rosetta) {
-      front.v4_routes = rib_.routes_of(IpVersion::V4);
-      front.v6_routes = rib_.routes_of(IpVersion::V6);
+      const auto walk = [this](IpVersion af) -> core::RouteWalk {
+        return [this, af](const core::RouteVisitor& visit) { rib_.visit(af, visit); };
+      };
+      front.inference.v4_rosetta = {first_hops_v4_, walk(IpVersion::V4)};
+      front.inference.v6_rosetta = {first_hops_v6_, walk(IpVersion::V6)};
     }
-    epoch.report = core::census_back(std::move(front), dict_, config_, pool);
+    front.v4_retallied = std::move(retallied_v4_);
+    front.v6_retallied = std::move(retallied_v6_);
+    retallied_v4_.clear();
+    retallied_v6_.clear();
+    epoch.report = core::census_back(std::move(front), dict_, config_, pool, &carry_);
   }
   {
     OBS_SPAN("live.epoch.snapshot");

@@ -5,31 +5,37 @@
 //   * LIVE TIER — updated in O(route length) per applied message: distinct
 //     AS-path counts, per-family link refcounts, dual-stack link count,
 //     per-link community-vote tallies (exactly core's scan, applied with
-//     sign), the community-inferred relationship of every voted link, and
-//     the hybrid-link count derived from those relationships.  Vote state
-//     keeps the full per-link histogram, so a withdrawn route's votes are
-//     *retracted* — the tallies equal what a from-scratch scan of the
-//     current routes would produce, which test_live pins.  What the live
-//     tier does NOT include: Rosetta calibration (needs a global LocPrf
-//     scan) and the valley necessity test (needs whole-graph BFS); live
-//     valley counters classify each announced route against the live
-//     relationship map at apply time and are monotonic telemetry, not the
-//     paper's census.
+//     sign), the community-inferred relationship of every voted link, the
+//     hybrid-link count derived from those relationships, and each family's
+//     Rosetta first-hop table (core::FirstHopTable, counted with sign).
+//     Vote state keeps the full per-link histogram, so a withdrawn route's
+//     votes are *retracted* — the tallies equal what a from-scratch scan of
+//     the current routes would produce, which test_live pins.  Live valley
+//     counters classify each announced route against the live (community
+//     only) relationship map at apply time and are monotonic telemetry, not
+//     the paper's census.
 //
 //   * EPOCH TIER — recompute() runs the census's shared back half
 //     (core::census_back: duals, coverage, Rosetta, hybrids, valleys) on a
 //     front half read from the maintained state, with no materialized RIB
-//     and no rescan.  Each family's distinct paths are a PathStore as of the
-//     last cut plus a sorted overlay of the paths whose count changed since;
-//     the cut folds the overlay in with PathStore::merged.  The community
-//     inference is the live vote tallies and relationship maps, and
-//     Rosetta reads the table's routes in place, in the order materialize()
-//     would emit them.  The result is byte-identical to core::run_census
-//     over rib().materialize() — the live≡batch oracle test_live and
-//     fuzz_updates hold — and is what serve --follow publishes.  Before
-//     the fold, the overlay keys are exactly the paths updates touched
-//     since the last cut, so the cut counts the epoch's churn exactly with
-//     no per-hop work at apply time.
+//     and no walk over the routes.  Each family's distinct paths are a
+//     PathStore as of the last cut plus a sorted overlay of the paths whose
+//     count changed since; the cut folds the overlay in with
+//     PathStore::merged.  The community inference is the live vote tallies
+//     and relationship maps, and Rosetta runs on the maintained first-hop
+//     tables (it walks the table's routes in canonical order only to settle
+//     a first-hop link whose LocPrf translations disagree).  The back half
+//     counts on from the previous epoch (core::CensusCarry): the valley and
+//     hybrid-path sums recount only the overlay paths and, in an epoch
+//     where some final relationship or hybrid status changed, the paths
+//     crossing such a link; the valley BFS and the tiers are rebuilt only
+//     when a relationship changed.  So an epoch costs what its churn
+//     touched, plus the linear fold.  The result is byte-identical to
+//     core::run_census over rib().materialize() — the live≡batch oracle
+//     test_live and fuzz_updates hold — and is what serve --follow
+//     publishes.  Before the fold, the overlay keys are exactly the paths
+//     updates touched since the last cut, so the cut counts the epoch's
+//     churn exactly with no per-hop work at apply time.
 #pragma once
 
 #include <array>
@@ -141,18 +147,26 @@ class IncrementalCensus {
     bool dead() const;
   };
 
+  /// A path's occurrence count at the last cut and now.
+  struct PathCount {
+    std::uint32_t before = 0;
+    std::uint32_t now = 0;
+  };
+  using Overlay = std::map<std::vector<Asn>, PathCount>;
+
   /// One family's distinct paths: the store as of the last cut, plus the
-  /// paths whose occurrence count changed since, with their new counts
-  /// (0 = gone), in the lexicographic order PathStore::merged takes.
+  /// paths whose occurrence count changed since, with their counts then
+  /// and now (0 = gone), in the lexicographic order PathStore::merged
+  /// takes.
   struct FamilyPaths {
     PathStore base;
-    std::map<std::vector<Asn>, std::uint32_t> overlay;
+    Overlay overlay;
 
     /// The live count of `path`: its overlay entry, created from the base
     /// count (PathStore::count_of) if absent.
     std::uint32_t& overlay_count(const std::vector<Asn>& path);
-    /// base = merged(base, overlay); the overlay empties.
-    void fold();
+    /// base = merged(base, overlay); returns the overlay, which empties.
+    Overlay fold();
   };
 
   /// Vote totals of one family, maintained with sign.
@@ -186,6 +200,13 @@ class IncrementalCensus {
   std::unordered_map<LinkKey, LinkState, LinkKeyHash> links_;
   RelationshipMap rels_v4_;
   RelationshipMap rels_v6_;
+  core::FirstHopTable first_hops_v4_;
+  core::FirstHopTable first_hops_v6_;
+  /// Links whose community relationship changed since the last cut.
+  std::vector<LinkKey> retallied_v4_;
+  std::vector<LinkKey> retallied_v6_;
+  /// What the last cut's census leaves for the next one.
+  core::CensusCarry carry_;
   FamilyVotes votes_v4_;
   FamilyVotes votes_v6_;
   std::vector<LinkKey> scratch_links_;  ///< reused by count_path_links

@@ -1,6 +1,5 @@
 #include "live/observed_rib.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "bgp/as_path.hpp"
@@ -130,24 +129,6 @@ void ObservedRib::erase(const RouteKey& key, ApplyDelta& delta) {
   routes_.erase(it);
   (key.af == IpVersion::V4 ? v4_count_ : v6_count_)--;
   stats_.withdrawn++;
-}
-
-std::vector<const mrt::ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
-  // Keys order by family first, so the v4 routes are a prefix of the table
-  // and the v6 routes a suffix: each family walks only its own nodes.
-  std::vector<const mrt::ObservedRoute*> out;
-  out.reserve(size_of(af));
-  if (af == IpVersion::V4) {
-    for (auto it = routes_.begin(); it != routes_.end() && it->first.af == af; ++it) {
-      out.push_back(&it->second);
-    }
-  } else {
-    for (auto it = routes_.rbegin(); it != routes_.rend() && it->first.af == af; ++it) {
-      out.push_back(&it->second);
-    }
-    std::reverse(out.begin(), out.end());
-  }
-  return out;
 }
 
 mrt::ObservedRib ObservedRib::materialize() const {

@@ -85,15 +85,23 @@ class ObservedRib {
   /// reaches the same route set.
   mrt::ObservedRib materialize() const;
 
-  /// Routes of one family, by reference into the table, in canonical key
-  /// order: the order materialize() emits them.  Valid until the next
-  /// apply().
-  std::vector<const mrt::ObservedRoute*> routes_of(IpVersion af) const;
-
-  /// Visit every held route in canonical key order.
+  /// Visit every held route in canonical key order: the order
+  /// materialize() emits them.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& [key, route] : routes_) fn(route);
+  }
+
+  /// Visit the routes of one family in canonical key order until `fn`
+  /// returns false.
+  template <typename Fn>
+  void visit(IpVersion af, Fn&& fn) const {
+    // Keys order by family first, and the default (IPv4) prefix sorts
+    // before every IPv6 one: the family's routes are one contiguous run.
+    for (auto it = routes_.lower_bound(RouteKey{af, Prefix(), 0});
+         it != routes_.end() && it->first.af == af; ++it) {
+      if (!fn(it->second)) return;
+    }
   }
 
  private:

@@ -19,10 +19,6 @@ constexpr std::size_t kBuckets = kCensusShards;
 /// Sampled keys per bucket when choosing the splitters.
 constexpr std::size_t kSamplesPerBucket = 64;
 
-bool path_less(Path a, Path b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
-
 bool path_equal(Path a, Path b) { return std::equal(a.begin(), a.end(), b.begin(), b.end()); }
 
 /// LinkKey packed so that integer order is LinkKey order.
@@ -83,6 +79,20 @@ void path_links(Path path, std::vector<LinkKey>& out) {
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+bool crosses_link(Path path, const std::vector<LinkKey>& links) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (path[i] != path[i + 1] &&
+        std::binary_search(links.begin(), links.end(), LinkKey(path[i], path[i + 1]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool path_less(Path a, Path b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }
 
 // A parallel sample sort.  Splitters drawn from an evenly spaced sample of

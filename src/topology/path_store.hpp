@@ -31,6 +31,13 @@ namespace htor {
 /// and of the live census.
 void path_links(std::span<const Asn> path, std::vector<LinkKey>& out);
 
+/// Does `path` cross (as adjacent distinct ASes) a link of `links`, which
+/// must be sorted?
+bool crosses_link(std::span<const Asn> path, const std::vector<LinkKey>& links);
+
+/// Lexicographic path order: the order of a PathStore.
+bool path_less(std::span<const Asn> a, std::span<const Asn> b);
+
 /// One path whose occurrence count changed, for PathStore::merged().
 struct PathChange {
   std::span<const Asn> path;

@@ -17,7 +17,7 @@
 // snapshot must equal core::run_census + to_snapshot over
 // rib().materialize(), byte for byte, after every third message (so later
 // cuts merge changes, removals included, into stores folded earlier) and
-// after each input.
+// after each input, and so must its Rosetta counters and first-hop links.
 #include "fuzz/driver.hpp"
 
 #include <stdexcept>
@@ -84,15 +84,29 @@ std::vector<std::uint8_t> epoch_bytes(live::IncrementalCensus& census, ThreadPoo
   return snapshot::Writer::encode(census.recompute(pool).snap);
 }
 
+/// Rosetta's outcome for one family: the counters and the typed links, which
+/// no snapshot byte carries.
+bool same_rosetta(const core::RosettaResult& a, const core::RosettaResult& b) {
+  return a.values_learned == b.values_learned && a.values_ambiguous == b.values_ambiguous &&
+         a.routes_te_filtered == b.routes_te_filtered &&
+         a.routes_resolved == b.routes_resolved && a.links_conflicted == b.links_conflicted &&
+         snapshot::sorted_entries(a.first_hop_rels) == snapshot::sorted_entries(b.first_hop_rels);
+}
+
 /// The differential oracle: the live epoch equals the batch census of the
-/// live RIB's materialized copy.
+/// live RIB's materialized copy, in its snapshot bytes and in Rosetta.
 void check_against_batch(live::IncrementalCensus& census, ThreadPool& pool) {
   const auto report =
       core::run_census(census.rib().materialize(), dictionary(), core::InferenceConfig{}, pool);
   const auto batch =
       snapshot::Writer::encode(core::to_snapshot(report, kSource, census.last_timestamp()));
-  if (epoch_bytes(census, pool) != batch) {
+  const live::EpochReport epoch = census.recompute(pool);
+  if (snapshot::Writer::encode(epoch.snap) != batch) {
     throw std::logic_error("live epoch differs from the batch census of the materialized RIB");
+  }
+  if (!same_rosetta(epoch.report.inferred.rosetta_v4, report.inferred.rosetta_v4) ||
+      !same_rosetta(epoch.report.inferred.rosetta_v6, report.inferred.rosetta_v6)) {
+    throw std::logic_error("live Rosetta differs from the batch census of the materialized RIB");
   }
 }
 

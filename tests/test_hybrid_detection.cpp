@@ -48,7 +48,8 @@ TEST(HybridDetection, ClassifiesAllClasses) {
 
   const std::vector<LinkKey> duals = {LinkKey(1, 2),  LinkKey(3, 4), LinkKey(5, 6),
                                       LinkKey(7, 8),  LinkKey(9, 10), LinkKey(11, 12)};
-  const auto report = detect_hybrids(duals, v4, v6, v6_paths);
+  ThreadPool pool(1);
+  const auto report = detect_hybrids(duals, v4, v6, v6_paths, pool);
 
   EXPECT_EQ(report.dual_links_observed, 6u);
   EXPECT_EQ(report.dual_links_both_known, 5u);
@@ -79,8 +80,8 @@ TEST(HybridDetection, SortsByVisibility) {
       {9, 1, 2},
   });
 
-  const auto report =
-      detect_hybrids({LinkKey(1, 2), LinkKey(3, 4)}, v4, v6, v6_paths);
+  ThreadPool pool(1);
+  const auto report = detect_hybrids({LinkKey(1, 2), LinkKey(3, 4)}, v4, v6, v6_paths, pool);
   ASSERT_EQ(report.hybrids.size(), 2u);
   EXPECT_EQ(report.hybrids[0].link, LinkKey(3, 4));
   EXPECT_EQ(report.hybrids[0].v6_path_visibility, 3u);
@@ -94,7 +95,8 @@ TEST(HybridDetection, TierAttribution) {
   v6.set(1, 2, Relationship::P2C);
   std::unordered_map<Asn, Tier> tiers{{1, Tier::Tier1}, {2, Tier::Tier2}};
   PathStore v6_paths;
-  const auto report = detect_hybrids({LinkKey(1, 2)}, v4, v6, v6_paths, &tiers);
+  ThreadPool pool(1);
+  const auto report = detect_hybrids({LinkKey(1, 2)}, v4, v6, v6_paths, pool, &tiers);
   EXPECT_EQ(report.endpoint_tiers.at(Tier::Tier1), 1u);
   EXPECT_EQ(report.endpoint_tiers.at(Tier::Tier2), 1u);
 }
@@ -106,7 +108,8 @@ TEST(HybridDetection, RelationsAreCanonicalized) {
   v4.set(9, 2, Relationship::C2P);  // canonical: (2,9) P2C
   v6.set(2, 9, Relationship::P2P);
   PathStore v6_paths;
-  const auto report = detect_hybrids({LinkKey(2, 9)}, v4, v6, v6_paths);
+  ThreadPool pool(1);
+  const auto report = detect_hybrids({LinkKey(2, 9)}, v4, v6, v6_paths, pool);
   ASSERT_EQ(report.hybrids.size(), 1u);
   EXPECT_EQ(report.hybrids[0].cls, HybridClass::TransitV4PeerV6);
 }

@@ -163,6 +163,19 @@ TEST(CommunityInference, MinVotesThreshold) {
 
 // --- Rosetta ---------------------------------------------------------------
 
+/// Rosetta's input over `routes`, read in the given order.
+RosettaInput rosetta_input(const std::vector<const ObservedRoute*>& routes,
+                           const rpsl::CommunityDictionary& dict) {
+  RosettaInput input;
+  for (const ObservedRoute* r : routes) input.first_hops.count(*r, dict, +1);
+  input.routes = [routes](const RouteVisitor& visit) {
+    for (const ObservedRoute* r : routes) {
+      if (!visit(*r)) return;
+    }
+  };
+  return input;
+}
+
 TEST(Rosetta, LearnsAndAppliesTranslation) {
   const auto dict = sample_dict();
   // Vantage 100: three tagged routes teach "locpref 120 == customer";
@@ -179,7 +192,7 @@ TEST(Rosetta, LearnsAndAppliesTranslation) {
   ASSERT_EQ(known.rels.get(100, 201), Relationship::P2C);
   ASSERT_EQ(known.rels.get(100, 299), Relationship::Unknown);
 
-  const auto rosetta = run_rosetta(ptrs, dict, known.rels);
+  const auto rosetta = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels);
   EXPECT_EQ(rosetta.values_learned, 1u);
   EXPECT_EQ(rosetta.first_hop_rels.get(100, 299), Relationship::P2C);
   EXPECT_EQ(rosetta.routes_resolved, 1u);
@@ -197,7 +210,7 @@ TEST(Rosetta, AmbiguousValuesAreDiscarded) {
   std::vector<const ObservedRoute*> ptrs;
   for (const auto& r : routes) ptrs.push_back(&r);
   const auto known = infer_from_communities(ptrs, dict);
-  const auto rosetta = run_rosetta(ptrs, dict, known.rels);
+  const auto rosetta = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels);
   EXPECT_EQ(rosetta.values_learned, 0u);
   EXPECT_EQ(rosetta.values_ambiguous, 1u);
   EXPECT_EQ(rosetta.first_hop_rels.get(100, 299), Relationship::Unknown);
@@ -211,7 +224,7 @@ TEST(Rosetta, MinSamplesGate) {
   const auto known = infer_from_communities(ptrs, dict);
   RosettaParams params;
   params.min_samples = 3;
-  const auto rosetta = run_rosetta(ptrs, dict, known.rels, params);
+  const auto rosetta = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels, params);
   EXPECT_EQ(rosetta.values_learned, 0u);
 }
 
@@ -234,13 +247,13 @@ TEST(Rosetta, TeFilterExcludesOverriddenRoutes) {
   const auto known = infer_from_communities(ptrs, dict);
 
   RosettaParams with_filter;
-  const auto filtered = run_rosetta(ptrs, dict, known.rels, with_filter);
+  const auto filtered = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels, with_filter);
   EXPECT_EQ(filtered.first_hop_rels.get(100, 299), Relationship::P2C);
   EXPECT_GT(filtered.routes_te_filtered, 0u);
 
   RosettaParams no_filter;
   no_filter.filter_te = false;
-  const auto unfiltered = run_rosetta(ptrs, dict, known.rels, no_filter);
+  const auto unfiltered = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels, no_filter);
   // Without the filter the value becomes ambiguous: nothing is learned.
   EXPECT_EQ(unfiltered.first_hop_rels.get(100, 299), Relationship::Unknown);
   EXPECT_EQ(unfiltered.values_ambiguous, 1u);
@@ -258,7 +271,7 @@ TEST(Rosetta, WellKnownCommunitiesDisqualify) {
   std::vector<const ObservedRoute*> ptrs;
   for (const auto& r : routes) ptrs.push_back(&r);
   const auto known = infer_from_communities(ptrs, dict);
-  const auto rosetta = run_rosetta(ptrs, dict, known.rels);
+  const auto rosetta = run_rosetta(rosetta_input(ptrs, dict), dict, known.rels);
   // The NO_EXPORT route is not used for application either.
   EXPECT_EQ(rosetta.first_hop_rels.get(100, 299), Relationship::Unknown);
 }

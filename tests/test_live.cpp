@@ -361,12 +361,25 @@ TEST(LivePipeline, EpochsMatchIndependentReplayAtAnyCapacityAndJobs) {
 // ----------------------------------------------- report-level oracle
 
 /// The epoch report against core::run_census over the materialized RIB, on
-/// what no snapshot carries: the path stores, the community tallies, and
-/// the Rosetta and valley counters.
+/// what no snapshot carries: the path stores, the community tallies, the
+/// Rosetta and valley counters, and the whole hybrid report.
 void expect_report_matches_batch(const core::CensusReport& live,
                                  const core::CensusReport& batch) {
   EXPECT_TRUE(live.v4_path_store == batch.v4_path_store);
   EXPECT_TRUE(live.v6_path_store == batch.v6_path_store);
+
+  const core::HybridReport& hybrids = live.hybrids;
+  const core::HybridReport& hybrids_want = batch.hybrids;
+  EXPECT_EQ(hybrids.hybrids, hybrids_want.hybrids);
+  EXPECT_EQ(hybrids.dual_links_observed, hybrids_want.dual_links_observed);
+  EXPECT_EQ(hybrids.dual_links_both_known, hybrids_want.dual_links_both_known);
+  EXPECT_EQ(hybrids.peer_v4_transit_v6, hybrids_want.peer_v4_transit_v6);
+  EXPECT_EQ(hybrids.transit_v4_peer_v6, hybrids_want.transit_v4_peer_v6);
+  EXPECT_EQ(hybrids.reversals, hybrids_want.reversals);
+  EXPECT_EQ(hybrids.other_mix, hybrids_want.other_mix);
+  EXPECT_EQ(hybrids.v6_paths_total, hybrids_want.v6_paths_total);
+  EXPECT_EQ(hybrids.v6_paths_with_hybrid, hybrids_want.v6_paths_with_hybrid);
+  EXPECT_EQ(hybrids.endpoint_tiers, hybrids_want.endpoint_tiers);
   for (const bool v4 : {true, false}) {
     SCOPED_TRACE(v4 ? "v4" : "v6");
     const auto& got = v4 ? live.inferred.community_v4 : live.inferred.community_v6;
@@ -383,6 +396,7 @@ void expect_report_matches_batch(const core::CensusReport& live,
     EXPECT_EQ(rosetta.values_ambiguous, rosetta_want.values_ambiguous);
     EXPECT_EQ(rosetta.routes_te_filtered, rosetta_want.routes_te_filtered);
     EXPECT_EQ(rosetta.routes_resolved, rosetta_want.routes_resolved);
+    EXPECT_EQ(rosetta.links_conflicted, rosetta_want.links_conflicted);
     EXPECT_EQ(snapshot::sorted_entries(rosetta.first_hop_rels),
               snapshot::sorted_entries(rosetta_want.first_hop_rels));
 
@@ -603,6 +617,219 @@ TEST(IncrementalCensus, RosettaReadsRoutesInCanonicalOrder) {
   EXPECT_EQ(epoch.report.inferred.v6.get(1, 2), Relationship::P2C);
   EXPECT_EQ(snapshot::Writer::encode(epoch.snap),
             snapshot::Writer::encode(core::to_snapshot(batch, kSource, kSeedTimestamp)));
+}
+
+// ------------------------------------------------------- epoch deltas
+//
+// An epoch recounts only what changed since the previous cut (the carried
+// census state).  Each case below builds the change that one piece of that
+// delta must catch, and every cut is checked against the batch census of
+// the materialized RIB on the same pool, at one and at four workers.
+
+/// A route of `af` for prefix number `i`, announced by the path's first AS.
+mrt::ObservedRoute delta_route(IpVersion af, int i, std::vector<Asn> path,
+                               std::optional<std::uint32_t> local_pref,
+                               std::vector<bgp::Community> communities) {
+  mrt::ObservedRoute route;
+  route.af = af;
+  route.prefix = Prefix::parse(af == IpVersion::V4 ? "10." + std::to_string(i) + ".0.0/16"
+                                                   : "2001:db8:" + std::to_string(i) + "::/48");
+  route.peer_asn = path.front();
+  route.as_path = std::move(path);
+  route.local_pref = local_pref;
+  route.communities = std::move(communities);
+  return route;
+}
+
+/// A live census over a hand-built RIB whose cuts must each equal the batch
+/// census of its materialized RIB.
+struct DeltaRig {
+  DeltaRig(const mrt::ObservedRib& rib, rpsl::CommunityDictionary dictionary, std::size_t jobs)
+      : dict(std::move(dictionary)), pool(jobs), census(rib, dict, {}, kSource, kSeedTimestamp) {}
+
+  void announce(const mrt::ObservedRoute& route) {
+    census.apply(++timestamp, announce_route(route));
+  }
+  void withdraw(const mrt::ObservedRoute& route) {
+    census.apply(++timestamp, withdraw_route(route));
+  }
+  /// Cut an epoch, check it against the batch census and return it.
+  core::CensusReport cut() {
+    EpochReport epoch = census.recompute(pool);
+    const auto batch = core::run_census(census.rib().materialize(), dict, {}, pool);
+    expect_report_matches_batch(epoch.report, batch);
+    EXPECT_EQ(snapshot::Writer::encode(epoch.snap),
+              snapshot::Writer::encode(core::to_snapshot(batch, kSource, epoch.last_timestamp)));
+    return std::move(epoch.report);
+  }
+
+  rpsl::CommunityDictionary dict;
+  ThreadPool pool;
+  IncrementalCensus census;
+  std::uint32_t timestamp = kSeedTimestamp;
+};
+
+rpsl::CommunityDictionary delta_dict() {
+  std::string irr;
+  for (const int asn : {1, 8, 9}) {
+    const std::string as = std::to_string(asn);
+    irr += "aut-num:        AS" + as + "\n" + "remarks:        " + as +
+           ":100   routes learned from customers\n" + "remarks:        " + as +
+           ":200   routes learned from peers\n" + "remarks:        " + as +
+           ":300   routes learned from upstream providers\n" + "remarks:        " + as +
+           ":70    local-pref 70 applied on ingress\n\n";
+  }
+  return rpsl::mine_dictionary(rpsl::parse_objects(irr));
+}
+
+// (a) Two untagged routes give first hop 1-2 LocPrfs that translate to
+// different relationships, so the first in RIB order decides.  Withdrawing
+// it hands the link to the other LocPrf; re-announcing takes it back.
+TEST(EpochDelta, WithdrawingTheFirstRouteOfAConflictedFirstHop) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    mrt::ObservedRib rib;
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      for (int i = 0; i < 3; ++i) {
+        rib.add(delta_route(af, 10 + i, {1, static_cast<Asn>(11 + i)}, 100,
+                            {bgp::Community(1, 100)}));
+        rib.add(delta_route(af, 20 + i, {1, static_cast<Asn>(21 + i)}, 200,
+                            {bgp::Community(1, 200)}));
+      }
+      rib.add(delta_route(af, 40, {1, 2, 3}, 200, {}));
+      rib.add(delta_route(af, 50, {1, 2, 5}, 100, {}));
+    }
+    const auto first = [](IpVersion af) { return delta_route(af, 30, {1, 2, 4}, 100, {}); };
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) rib.add(first(af));
+
+    DeltaRig rig(rib, delta_dict(), jobs);
+    auto report = rig.cut();
+    EXPECT_EQ(report.inferred.v4.get(1, 2), Relationship::P2C);
+    EXPECT_EQ(report.inferred.rosetta_v6.links_conflicted, 1u);
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) rig.withdraw(first(af));
+    report = rig.cut();
+    EXPECT_EQ(report.inferred.v4.get(1, 2), Relationship::P2P);
+    EXPECT_EQ(report.inferred.v6.get(1, 2), Relationship::P2P);
+    EXPECT_EQ(report.inferred.rosetta_v4.links_conflicted, 1u);
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) rig.announce(first(af));
+    report = rig.cut();
+    EXPECT_EQ(report.inferred.v6.get(1, 2), Relationship::P2C);
+  }
+}
+
+// (b) Link 1-2 is typed provider-to-customer by one vote, in both families.
+// New IPv4 routes vote it customer-to-provider and flip its IPv4 type: the
+// seed path 8 1 2, which no update touches, turns from valley-free into a
+// valley in IPv4, and link 1-2 turns hybrid, so the IPv6 copy of that path
+// now crosses a hybrid link.  Withdrawing the voters flips both back, and
+// then the only paths crossing 1-2 are ones no update touched.
+TEST(EpochDelta, VoteFlipRetypesALinkCrossedOnlyByUntouchedPaths) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    mrt::ObservedRib rib;
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      rib.add(delta_route(af, 1, {8, 1, 2}, {}, {bgp::Community(8, 100), bgp::Community(1, 100)}));
+    }
+    std::vector<mrt::ObservedRoute> voters;
+    for (int i = 0; i < 2; ++i) {
+      voters.push_back(delta_route(IpVersion::V4, 60 + i, {1, 2, static_cast<Asn>(60 + i)}, {},
+                                   {bgp::Community(1, 300)}));
+    }
+
+    DeltaRig rig(rib, delta_dict(), jobs);
+    auto report = rig.cut();
+    EXPECT_EQ(report.v4_valleys.valley, 0u);
+    EXPECT_EQ(report.hybrids.v6_paths_with_hybrid, 0u);
+    for (const auto& route : voters) rig.announce(route);
+    report = rig.cut();
+    EXPECT_EQ(report.inferred.v4.get(1, 2), Relationship::C2P);
+    EXPECT_EQ(report.v4_valleys.valley, 1u);
+    EXPECT_EQ(report.v4_valleys.necessary_valleys, 1u);
+    EXPECT_EQ(report.hybrids.hybrids.size(), 1u);
+    EXPECT_EQ(report.hybrids.v6_paths_with_hybrid, 1u);
+    for (const auto& route : voters) rig.withdraw(route);
+    report = rig.cut();
+    EXPECT_EQ(report.v4_valleys.valley, 0u);
+    EXPECT_EQ(report.hybrids.v6_paths_with_hybrid, 0u);
+  }
+}
+
+// (c) The valley 8 1 2 (8 provides for 1, 2 provides for 1) is unnecessary
+// while 8 9 2 is valley-free (8 peers with 9, 2 is 9's customer).  New
+// routes retype 9-2 customer-to-provider: the valley path is unchanged and
+// crosses no retyped link, yet its necessity flips, because the only
+// valley-free way from 8 to 2 is gone.
+TEST(EpochDelta, RelationshipChangeFlipsTheNecessityOfAnUnchangedValley) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    mrt::ObservedRib rib;
+    std::vector<mrt::ObservedRoute> voters;
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      rib.add(delta_route(af, 1, {8, 1, 2}, {}, {bgp::Community(8, 100), bgp::Community(1, 300)}));
+      rib.add(delta_route(af, 2, {8, 9, 2}, {}, {bgp::Community(8, 200), bgp::Community(9, 100)}));
+      for (int i = 0; i < 2; ++i) {
+        voters.push_back(delta_route(af, 70 + i, {9, 2, static_cast<Asn>(70 + i)}, {},
+                                     {bgp::Community(9, 300)}));
+      }
+    }
+
+    DeltaRig rig(rib, delta_dict(), jobs);
+    auto report = rig.cut();
+    EXPECT_EQ(report.v4_valleys.classified_valleys, 1u);
+    EXPECT_EQ(report.v4_valleys.necessary_valleys, 0u);
+    for (const auto& route : voters) rig.announce(route);
+    report = rig.cut();
+    EXPECT_EQ(report.inferred.v6.get(9, 2), Relationship::C2P);
+    EXPECT_EQ(report.v6_valleys.classified_valleys, 2u);
+    EXPECT_EQ(report.v6_valleys.necessary_valleys, 2u);
+    for (const auto& route : voters) rig.withdraw(route);
+    report = rig.cut();
+    EXPECT_EQ(report.v4_valleys.necessary_valleys, 0u);
+  }
+}
+
+// (d) A route whose vantage overrides its LocPrf (a set-locpref community)
+// is filtered out of Rosetta: announcing and withdrawing it moves
+// routes_te_filtered and nothing else.
+TEST(EpochDelta, TeTaggedRouteMovesOnlyTheTeFilterCount) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    mrt::ObservedRib rib;
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      for (int i = 0; i < 3; ++i) {
+        rib.add(delta_route(af, 10 + i, {1, static_cast<Asn>(11 + i)}, 120,
+                            {bgp::Community(1, 100)}));
+      }
+      rib.add(delta_route(af, 20, {1, 2}, 120, {}));
+    }
+    const auto te_route = [](IpVersion af) {
+      return delta_route(af, 30, {1, 3}, 120, {bgp::Community(1, 200), bgp::Community(1, 70)});
+    };
+
+    DeltaRig rig(rib, delta_dict(), jobs);
+    const auto before = rig.cut();
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) rig.announce(te_route(af));
+    const auto with_te = rig.cut();
+    for (const IpVersion af : {IpVersion::V4, IpVersion::V6}) rig.withdraw(te_route(af));
+    const auto after = rig.cut();
+    for (const bool v4 : {true, false}) {
+      SCOPED_TRACE(v4 ? "v4" : "v6");
+      const auto& r0 = v4 ? before.inferred.rosetta_v4 : before.inferred.rosetta_v6;
+      const auto& r1 = v4 ? with_te.inferred.rosetta_v4 : with_te.inferred.rosetta_v6;
+      const auto& r2 = v4 ? after.inferred.rosetta_v4 : after.inferred.rosetta_v6;
+      EXPECT_EQ(r0.routes_te_filtered, 0u);
+      EXPECT_EQ(r1.routes_te_filtered, 1u);
+      EXPECT_EQ(r2.routes_te_filtered, 0u);
+      for (const auto* r : {&r1, &r2}) {
+        EXPECT_EQ(r->values_learned, r0.values_learned);
+        EXPECT_EQ(r->values_ambiguous, r0.values_ambiguous);
+        EXPECT_EQ(r->routes_resolved, r0.routes_resolved);
+        EXPECT_EQ(snapshot::sorted_entries(r->first_hop_rels),
+                  snapshot::sorted_entries(r0.first_hop_rels));
+      }
+      EXPECT_EQ(r0.first_hop_rels.get(1, 2), Relationship::P2C);
+    }
+  }
 }
 
 // A malformed update mid-stream surfaces from apply() with the census (and

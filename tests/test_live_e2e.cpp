@@ -278,6 +278,33 @@ TEST(LiveFollowE2E, ReloadFailsGracefullyOnInMemoryIndex) {
   service.stop();
 }
 
+// With no updates, every epoch the service publishes is the seed RIB's
+// census, stamped with the dump's first-record time: the stamp `hybridtor
+// follow` prints for its epoch 1, never 0.
+TEST(LiveFollowE2E, SeedEpochCarriesTheDumpTimestamp) {
+  obs::MetricsRegistry::global().reset_values();
+  const LiveFiles& f = files();
+  const std::string empty = f.dir + "/empty_updates.mrt";
+  { std::ofstream create(empty, std::ios::binary | std::ios::trunc); }
+  FollowService service(f.rib, f.irr, {empty}, follow_config(100));
+  const auto served_stamp = [&service] {
+    server::HttpRequest request;
+    request.method = "GET";
+    request.target = "/v1/summary";
+    const auto response = service.daemon().handle(request);
+    EXPECT_EQ(response.status, 200);
+    return response.body.find("\"timestamp\":1281052800,") != std::string::npos;
+  };
+  EXPECT_TRUE(served_stamp()) << "the construction-time epoch";
+  service.start();
+  service.wait();
+  EXPECT_EQ(service.result().applied, 0u);
+  EXPECT_EQ(service.census().last_timestamp(), 0u);
+  EXPECT_TRUE(served_stamp()) << "the final epoch of an empty stream";
+  service.stop();
+  std::filesystem::remove(empty);
+}
+
 TEST(LiveFollowE2E, StopMidStreamIsCleanAndIdempotent) {
   obs::MetricsRegistry::global().reset_values();
   const LiveFiles& f = files();

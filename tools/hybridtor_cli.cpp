@@ -282,23 +282,14 @@ int cmd_generate(const std::string& outdir, std::uint64_t seed, std::size_t upda
   return 0;
 }
 
-/// A collector RIB and its epoch: the MRT timestamp of the dump's first
-/// record.  The epoch (not wall clock) stamps snapshots, so re-running the
-/// census on the same input reproduces the snapshot byte for byte.
-struct LoadedRib {
-  mrt::ObservedRib rib;
-  std::uint32_t epoch = 0;
-};
-
-/// Load the RIB at `path` in one pass (a pipe cannot be read twice).  Fails
-/// fast on unreadable or truncated input with one diagnostic naming `verb`,
-/// the file and the reason, so no partial report is ever printed.
-LoadedRib load_rib_once(const std::string& verb, const std::string& path, ThreadPool& pool) {
+/// Load the RIB at `path` in one pass (a pipe cannot be read twice) with
+/// its first-record timestamp.  Fails fast on unreadable or truncated input
+/// with one diagnostic naming `verb`, the file and the reason, so no
+/// partial report is ever printed.
+core::StampedRib load_rib_once(const std::string& verb, const std::string& path,
+                               ThreadPool& pool) {
   try {
-    mrt::MrtStreamReader stream(path);
-    LoadedRib out{mrt::rib_from_stream(stream, pool)};
-    out.epoch = stream.first_timestamp();
-    return out;
+    return core::load_stamped_rib(path, pool);
   } catch (const Error& e) {
     throw Error(verb + " aborted: " + path + ": " + e.what());
   }
@@ -368,7 +359,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
   ThreadPool pool(jobs);
-  const LoadedRib loaded = load_rib_once("census", mrt_path, pool);
+  const core::StampedRib loaded = load_rib_once("census", mrt_path, pool);
   const mrt::ObservedRib& rib = loaded.rib;
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
   std::cout << mrt_path << ": " << rib.size() << " routes ("
@@ -435,7 +426,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
   }
 
   if (snapshot_out) {
-    const auto snap = core::to_snapshot(census, mrt_path, loaded.epoch);
+    const auto snap = core::to_snapshot(census, mrt_path, loaded.first_timestamp);
     snapshot::Writer::write_file(snap, *snapshot_out);
     std::cout << "\nwrote snapshot " << *snapshot_out << " (v4 links "
               << snap.rels_v4.size() << ", v6 links " << snap.rels_v6.size() << ", hybrids "
@@ -719,7 +710,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
   ThreadPool pool(jobs);
-  const LoadedRib loaded = load_rib_once("follow", rib_path, pool);
+  const core::StampedRib loaded = load_rib_once("follow", rib_path, pool);
   const mrt::ObservedRib& rib = loaded.rib;
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
   std::cout << rib_path << ": seeded " << rib.size() << " routes ("
@@ -728,7 +719,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
 
   core::InferenceConfig config;
   config.threads = jobs;
-  live::IncrementalCensus census(rib, dict, config, rib_path, loaded.epoch);
+  live::IncrementalCensus census(rib, dict, config, rib_path, loaded.first_timestamp);
 
   live::PipelineConfig pipeline_config;
   pipeline_config.ring_capacity = ring_capacity;
